@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from liemd.catalog import FamilyParams, build
+from liemd.catalog import FamilyParams, build, parse_params
 from liemd.cli import main
 from liemd.exact import MatrixQ
 from liemd.lie_core import LieAlgebra
@@ -16,6 +17,14 @@ def write_algebra(path, g: LieAlgebra):
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str) -> str:
+    """Exact stdout bytes recorded for a CLI invocation."""
+    return (GOLDEN / name).read_text(encoding="utf-8")
 
 
 @pytest.fixture
@@ -94,6 +103,18 @@ def test_check_grid_flags_shape_the_histogram(g51_file, capsys):
                  "--grid-radius", "1", "--samples", "5", "--seed", "9"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert sum(doc["md"]["histogram"].values()) == 3 ** 5 + 5
+
+
+@pytest.mark.parametrize("family, params", [
+    ("5.3.8", "l=2,angle=3/5:4/5"),
+    ("rejected.5.2.3", ""),
+])
+def test_check_json_matches_golden(family, params, tmp_path, monkeypatch, capsys):
+    # check echoes its file argument, so the input has a fixed relative name
+    monkeypatch.chdir(tmp_path)
+    write_algebra(tmp_path / "algebra.json", build(family, parse_params(params)))
+    assert main(["check", "algebra.json", "--json"]) == 0
+    assert capsys.readouterr().out == golden(f"check_{family}.json")
 
 
 def test_check_non_solvable_is_clean_without_verdict(tmp_path, capsys):
@@ -210,6 +231,11 @@ def test_iso_command_precondition_exit2(tmp_path, capsys):
     assert main(["iso", a, a]) == 2
 
 
+def test_separate_default_json_matches_golden(capsys):
+    assert main(["separate", "default", "--json"]) == 0
+    assert capsys.readouterr().out == golden("separate_default.json")
+
+
 def test_separate_files(tmp_path, capsys):
     a = write_algebra(tmp_path / "a.json", build("5.1"))
     b = write_algebra(tmp_path / "b.json", build("5.2.1"))
@@ -278,6 +304,11 @@ def test_verify_catalog_reports_maximality(verify_json):
     for r in doc["instances"]:
         if r["md"] and r["md"]["verdict"] == "IsMD":
             assert r["maximality"] == "holds"
+
+
+def test_verify_catalog_json_matches_golden(verify_json):
+    _, out = verify_json
+    assert out == golden("verify_catalog.json")
 
 
 def test_verify_catalog_json_round_trips(verify_json):
