@@ -9,7 +9,6 @@ recurrence, and similarity classes are decided through the rational
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -389,16 +388,6 @@ def poly_divides(p: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
     return not poly_divmod(q, p)[1]
 
 
-def poly_eval_matrix(p: Sequence[Fraction], m: MatrixQ) -> MatrixQ:
-    result = MatrixQ.zero(m.rows, m.cols)
-    power = MatrixQ.identity(m.rows)
-    for c in poly_trim(p):
-        if c != 0:
-            result = result + power.scale(c)
-        power = power @ m
-    return result
-
-
 def poly_scale_argument(p: Sequence[Fraction], c: Scalar) -> tuple[Fraction, ...]:
     """Monic image of p under t -> t/c, i.e. c**deg(p) * p(t/c).
 
@@ -480,17 +469,6 @@ def _basis_annihilators(m: MatrixQ):
         e = tuple(ONE if j == i else ZERO for j in range(n))
         out.append(_vector_annihilator(m, e)[0])
     return out
-
-
-def minimal_poly(m: MatrixQ) -> tuple[Fraction, ...]:
-    if not m.is_square():
-        raise ValueError("minimal polynomial of non-square matrix")
-    result: tuple[Fraction, ...] = (ONE,)
-    for ann in _basis_annihilators(m):
-        result = poly_lcm(result, ann)
-        if poly_degree(result) == m.rows:
-            break
-    return result
 
 
 def _maximal_vector(m: MatrixQ, anns: Sequence[Sequence[Fraction]]):
@@ -604,21 +582,6 @@ def frobenius_form(m: MatrixQ):
     return factors, p
 
 
-def frobenius_block_matrix(factors: Sequence[Sequence[Fraction]]) -> MatrixQ:
-    """Block-diagonal matrix of companion blocks, same order as `factors`."""
-    size = sum(poly_degree(f) for f in factors)
-    out = [[ZERO] * size for _ in range(size)]
-    offset = 0
-    for f in factors:
-        block = companion(f)
-        d = block.rows
-        for i in range(d):
-            for j in range(d):
-                out[offset + i][offset + j] = block.data[i][j]
-        offset += d
-    return MatrixQ(out)
-
-
 def similar(a: MatrixQ, b: MatrixQ) -> bool:
     """Exact similarity over Q via invariant factor comparison."""
     if a.rows != b.rows or not a.is_square() or not b.is_square():
@@ -680,16 +643,6 @@ def pfaffian4(b12, b13, b14, b23, b24, b34):
     expression vanishes.
     """
     return b12 * b34 - b13 * b24 + b14 * b23
-
-
-def skew4_from_upper(b12, b13, b14, b23, b24, b34) -> MatrixQ:
-    z = ZERO
-    return MatrixQ([
-        [z, b12, b13, b14],
-        [-b12, z, b23, b24],
-        [-b13, -b23, z, b34],
-        [-b14, -b24, -b34, z],
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -852,23 +805,3 @@ class PolyQ:
             else:
                 parts.append(f"{coef}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def all_minors_rank(m: MatrixQ) -> int:
-    """Rank by exhaustive minor enumeration; small matrices only."""
-    r = 0
-    for size in range(1, min(m.rows, m.cols) + 1):
-        found = False
-        for rows in itertools.combinations(range(m.rows), size):
-            for cols in itertools.combinations(range(m.cols), size):
-                sub = MatrixQ([[m.data[i][j] for j in cols] for i in rows])
-                if det(sub) != 0:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            r = size
-        else:
-            break
-    return r

@@ -83,10 +83,6 @@ class Subspace:
     def basis(self) -> tuple[Vector, ...]:
         return self.rows
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
-
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check(other)
         if not self.rows or not other.rows:
@@ -351,12 +347,6 @@ class LieAlgebra:
         return self.span_of_brackets(s, s).dim == 0
 
     # -- adjoint operators ------------------------------------------------------
-
-    def ad_matrix(self, x: Sequence) -> MatrixQ:
-        """Matrix of ad_x on the whole algebra (columns are [x, X_j])."""
-        xx = _as_vector(x, self.dim)
-        cols = [self.bracket_with_basis(xx, j) for j in range(self.dim)]
-        return MatrixQ.from_columns(cols)
 
     def ad_restricted(self, x: Sequence, s: Subspace) -> AdOperator:
         """Matrix of ad_x on an invariant subspace, in its RREF basis."""

@@ -4,10 +4,15 @@ Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
 and kernel dimension by plain Gaussian elimination with division.  They
 exist so that every certified answer is checked along a second route.
+The matrix builders at the end use the library's ``MatrixQ`` only as a
+container; they state identities (Cayley-Hamilton, Frobenius blocks,
+Pfaffian squared) that the exact kernels must satisfy.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from liemd.exact import MatrixQ, companion, poly_degree, poly_trim
 
 
 def _rows_of(m):
@@ -93,3 +98,40 @@ def solve_is_zero_vector(rows, vec) -> bool:
     a = _rows_of(rows)
     v = [Fraction(x) for x in vec]
     return all(sum(c * x for c, x in zip(row, v)) == 0 for row in a)
+
+
+def poly_eval_matrix(p, m: MatrixQ) -> MatrixQ:
+    """p(M) for ascending coefficients p, summing scaled powers of M."""
+    result = MatrixQ.zero(m.rows, m.cols)
+    power = MatrixQ.identity(m.rows)
+    for c in poly_trim(p):
+        if c != 0:
+            result = result + power.scale(c)
+        power = power @ m
+    return result
+
+
+def frobenius_block_matrix(factors) -> MatrixQ:
+    """Block-diagonal matrix of companion blocks, same order as `factors`."""
+    size = sum(poly_degree(f) for f in factors)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    offset = 0
+    for f in factors:
+        block = companion(f)
+        d = block.rows
+        for i in range(d):
+            for j in range(d):
+                out[offset + i][offset + j] = block.data[i][j]
+        offset += d
+    return MatrixQ(out)
+
+
+def skew4_from_upper(b12, b13, b14, b23, b24, b34) -> MatrixQ:
+    """The 4x4 skew matrix with the given strict upper triangle."""
+    z = Fraction(0)
+    return MatrixQ([
+        [z, b12, b13, b14],
+        [-b12, z, b23, b24],
+        [-b13, -b23, z, b34],
+        [-b14, -b24, -b34, z],
+    ])

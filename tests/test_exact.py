@@ -11,20 +11,23 @@ from liemd.exact import (
     companion,
     det,
     format_rational,
-    frobenius_block_matrix,
     frobenius_form,
     mat_rank,
     parse_rational,
     pfaffian4,
     poly_divides,
-    poly_eval_matrix,
     poly_monic,
     poly_mul,
     rational_kth_roots,
     similar,
+)
+from oracles import (
+    det_perm,
+    frobenius_block_matrix,
+    minor_rank,
+    poly_eval_matrix,
     skew4_from_upper,
 )
-from oracles import det_perm, minor_rank
 
 
 def skew5(entries):
