@@ -1,10 +1,11 @@
 """Basis-invariant fingerprints and an exact isomorphism test.
 
-Every fingerprint field is a function of the isomorphism class over Q:
-dimension data of characteristic subspaces, the structural MD verdict with
-its radius-2 rank histogram, and spectral data of the adjoint action on
-the derived ideal recorded up to the scaling that a choice of complement
-vector leaves free.  Where the algebra is an abelian codim-1 ideal plus a
+Every fingerprint field is a function of the isomorphism class over Q, so
+no field depends on the basis the algebra is written in: dimension data of
+characteristic subspaces, the structural MD verdict (kind, maximal orbit
+dimension, whether every sub-Pfaffian vanishes), and spectral data of the
+adjoint action on the derived ideal recorded up to the scaling that a
+choice of complement vector leaves free.  Where the algebra is an abelian codim-1 ideal plus a
 one-dimensional complement, isomorphism is decided exactly: the two
 algebras are isomorphic iff the complement's adjoint matrices are similar
 up to a nonzero rational factor, and a witness basis change is assembled
@@ -30,7 +31,7 @@ from .exact import (
     rational_kth_roots,
     scaled_invariant_factors,
 )
-from .kirillov import GridSpec, _pfaffians_of, md_check, rank_profile
+from .kirillov import GridSpec, md_check
 from .lie_core import LieAlgebra, Subspace
 
 Factors = tuple[tuple[Fraction, ...], ...]
@@ -47,12 +48,6 @@ def _factors_json(factors: Factors) -> list:
 # ---------------------------------------------------------------------------
 # spectral data of the adjoint action on the derived ideal
 # ---------------------------------------------------------------------------
-
-def _ad_family_on_derived(g: LieAlgebra):
-    g1 = g.derived_ideal()
-    mats = [g.ad_restricted(g.basis_vector(i), g1).matrix for i in range(g.dim)]
-    return g1, mats
-
 
 def _operator_span_dim(mats: Sequence[MatrixQ]) -> int:
     rows = [[x for row in m.data for x in row] for m in mats]
@@ -88,18 +83,10 @@ def _ray_record(a: MatrixQ):
     return ("scaled", k0, ratios, shape, tuple(sorted(normalized)))
 
 
-def _centralizer_of_derived(g: LieAlgebra) -> Subspace:
-    cached = g._memo.get("invariants.cz")
-    if cached is None:
-        cached = g.centralizer(g.derived_ideal())
-        g._memo["invariants.cz"] = cached
-    return cached
-
-
 def _invariant_line_record(g: LieAlgebra):
     """Summary of L = [C_G(G^1), G] ∩ G^1 when it is an invariant line."""
     g1 = g.derived_ideal()
-    cz = _centralizer_of_derived(g)
+    cz = g.derived_centralizer()
     vectors = []
     for u in cz.basis():
         for j in range(g.dim):
@@ -133,7 +120,7 @@ class Fingerprint:
 
     def to_dict(self) -> dict:
         n, derived, lcs, center, cent = self.dims
-        kind, max_dim, pf_zero, hist = self.kirillov
+        kind, max_dim, pf_zero = self.kirillov
         d_act, ray, line = self.spectral
         if ray is None:
             ray_doc = None
@@ -160,7 +147,6 @@ class Fingerprint:
                 "verdict": kind,
                 "max_dim": max_dim,
                 "pfaffians_all_zero": pf_zero,
-                "histogram": {str(r): c for r, c in hist},
             },
             "spectral": {
                 "action_span_dim": d_act,
@@ -171,13 +157,11 @@ class Fingerprint:
         }
 
 
-def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec(),
-                transport: MatrixQ | None = None) -> Fingerprint:
+def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
     """Invariant separation record of a 5-dimensional solvable algebra.
 
-    ``transport`` premultiplies grid covectors before the histogram is
-    taken, which is how histograms stay comparable across an explicit
-    change of basis.
+    Two presentations of one algebra have equal fingerprints; the grid is
+    used only by ``md_check``, whose structural summary is basis-free.
     """
     g.require_jacobi()
     dims = (
@@ -185,15 +169,13 @@ def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec(),
         g.derived_dims(),
         g.lower_central_dims(),
         g.center().dim,
-        _centralizer_of_derived(g).dim,
+        g.derived_centralizer().dim,
     )
     verdict = md_check(g, grid)
-    pf_zero = all(p.is_zero() for p in _pfaffians_of(g))
-    profile = rank_profile(g, grid, transport=transport)
-    hist = tuple(sorted(profile.histogram.items()))
-    kirillov = (verdict.kind, verdict.max_dim, pf_zero, hist)
+    pf_zero = all(p.is_zero() for p in g.kirillov.pfaffians)
+    kirillov = (verdict.kind, verdict.max_dim, pf_zero)
 
-    _, mats = _ad_family_on_derived(g)
+    mats = g.ad_on_derived()
     d_act = _operator_span_dim(mats)
     ray = None
     if d_act == 1:
@@ -231,7 +213,7 @@ def _codim1_probe(g: LieAlgebra):
     g1 = g.derived_ideal()
     if g1.dim != g.dim - 1:
         raise ValueError("algebra does not have a codimension-1 derived ideal")
-    if not g.is_subspace_commutative(g1):
+    if not g.derived_ideal_commutative():
         raise ValueError("derived ideal is not commutative")
     pivots = set(g1.pivots)
     probe = next(i for i in range(g.dim) if i not in pivots)
@@ -280,8 +262,8 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
     b.require_jacobi()
     probe_a, g1a = _codim1_probe(a)
     probe_b, g1b = _codim1_probe(b)
-    ad_a = a.ad_restricted(a.basis_vector(probe_a), g1a).matrix
-    ad_b = b.ad_restricted(b.basis_vector(probe_b), g1b).matrix
+    ad_a = a.ad_on_derived()[probe_a]
+    ad_b = b.ad_on_derived()[probe_b]
     m = ad_a.rows
     ca, cb = char_poly(ad_a), char_poly(ad_b)
     lower_a = [ca[m - j] for j in range(1, m + 1)]

@@ -8,6 +8,10 @@ vanish identically, the form is identically zero, or every entry is a
 multiple of one linear form), ``NotMD`` carries two rank witnesses that are
 re-verified at emission time, and sampling alone can at most produce
 ``Inconclusive`` evidence.
+
+``KirillovData`` holds the per-algebra facts of this module: the symbolic
+form, its sub-Pfaffians, the vectorized rank engine and one rank vector
+per grid.  It is reached as ``g.kirillov`` and built once per algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -161,19 +165,7 @@ class SymbolicKirillovForm:
 
 
 def b_form_symbolic(g: LieAlgebra) -> SymbolicKirillovForm:
-    cached = g._memo.get("kirillov.form")
-    if cached is None:
-        cached = SymbolicKirillovForm(g)
-        g._memo["kirillov.form"] = cached
-    return cached
-
-
-def _pfaffians_of(g: LieAlgebra) -> list[PolyQ]:
-    cached = g._memo.get("kirillov.pfaffians")
-    if cached is None:
-        cached = pfaffian_system(b_form_symbolic(g))
-        g._memo["kirillov.pfaffians"] = cached
-    return cached
+    return g.kirillov.form
 
 
 def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
@@ -219,10 +211,9 @@ class _GridEngine:
     conservative overflow bound, falling back to exact object arithmetic).
     """
 
-    def __init__(self, g: LieAlgebra):
-        if g.dim != 5:
+    def __init__(self, form: SymbolicKirillovForm, pfaffians: Sequence[PolyQ]):
+        if form.dim != 5:
             raise ValueError("fast grid path requires dimension 5")
-        form = b_form_symbolic(g)
         linear_rows = []
         for i in range(5):
             for j in range(i + 1, 5):
@@ -233,7 +224,7 @@ class _GridEngine:
                 linear_rows.append(coeffs)
         self.linear = np.array(_clear_denominators(linear_rows), dtype=object)
         pf_terms = []
-        for pf in _pfaffians_of(g):
+        for pf in pfaffians:
             terms = []
             for expo, coef in sorted(pf.terms.items()):
                 pair = [k for k, e in enumerate(expo) for _ in range(e)]
@@ -291,18 +282,10 @@ class _GridEngine:
         return self.ranks_int(self._to_int_array(covectors))
 
 
-def _engine_of(g: LieAlgebra) -> "_GridEngine":
-    cached = g._memo.get("kirillov.engine")
-    if cached is None:
-        cached = _GridEngine(g)
-        g._memo["kirillov.engine"] = cached
-    return cached
-
-
 def grid_ranks(g: LieAlgebra, covectors: list[Covector]) -> list[int]:
     """Exact orbit dimensions for a batch of covectors."""
     if g.dim == 5:
-        return [int(r) for r in _engine_of(g).ranks(covectors)]
+        return [int(r) for r in g.kirillov.engine.ranks(covectors)]
     return [orbit_dim(g, f) for f in covectors]
 
 
@@ -320,28 +303,39 @@ def _grid_data(grid: GridSpec, n: int):
     return covs, arr
 
 
-def _transport_rows(arr: np.ndarray, p: MatrixQ) -> np.ndarray:
-    """Row covectors x -> x @ P, cleared to integers by one global factor."""
-    mult = lcm(*(c.denominator for row in p.data for c in row))
-    p_int = [[int(c * mult) for c in row] for row in p.data]
-    peak = int(np.abs(arr).max(initial=0)) * max(
-        (abs(v) for row in p_int for v in row), default=0) * p.rows
-    dtype = np.int64 if peak < _INT64_SAFE else object
-    return arr.astype(dtype) @ np.array(p_int, dtype=dtype)
+class KirillovData:
+    """Kirillov-form facts of one algebra, each computed at most once.
 
+    Built through ``g.kirillov`` (a cached property), so it lives exactly
+    as long as its algebra.  It keeps the form rather than the algebra,
+    which avoids a reference cycle.
+    """
 
-def _grid_rank_vector(g: LieAlgebra, grid: GridSpec,
-                      transport: MatrixQ | None = None) -> np.ndarray:
-    """Ranks over the (optionally transported) grid, enumeration order."""
-    covs, arr = _grid_data(grid, g.dim)
-    if g.dim != 5:
-        if transport is not None:
-            covs = [transport.apply(f) for f in covs]
-        return np.array([orbit_dim(g, f) for f in covs], dtype=np.int64)
-    if transport is not None:
-        # transport acts on covector columns, F' = T F; in row form x @ T^T
-        arr = _transport_rows(arr, transport.transpose())
-    return _engine_of(g).ranks_int(arr)
+    def __init__(self, g: LieAlgebra):
+        self.form = SymbolicKirillovForm(g)  # requires the Jacobi identity
+        self._ranks: dict[GridSpec, np.ndarray] = {}
+
+    @cached_property
+    def pfaffians(self) -> list[PolyQ]:
+        return pfaffian_system(self.form)
+
+    @cached_property
+    def engine(self) -> _GridEngine:
+        return _GridEngine(self.form, self.pfaffians)
+
+    def grid_ranks(self, grid: GridSpec) -> np.ndarray:
+        """Read-only ranks over the whole grid, in enumeration order."""
+        ranks = self._ranks.get(grid)
+        if ranks is None:
+            covs, arr = _grid_data(grid, self.form.dim)
+            if self.form.dim == 5:
+                ranks = self.engine.ranks_int(arr)
+            else:
+                ranks = np.array([mat_rank(self.form.evaluate(f)) for f in covs],
+                                 dtype=np.int64)
+            ranks.setflags(write=False)
+            self._ranks[grid] = ranks
+        return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +355,20 @@ class RankProfile:
         }
 
 
-def rank_profile(g: LieAlgebra, grid: GridSpec = GridSpec(),
-                 transport: MatrixQ | None = None) -> RankProfile:
+def rank_profile(g: LieAlgebra, grid: GridSpec = GridSpec()) -> RankProfile:
     """Histogram of orbit dimensions over the grid, with first witnesses.
 
-    ``transport`` maps each enumerated covector before evaluation (used to
-    compare profiles across a change of basis); witnesses are reported in
-    the transported coordinates.
+    The histogram counts grid points, so it depends on the basis; it is
+    reported for one presentation and never used to compare algebras.
     """
     g.require_jacobi()
     covectors, _ = _grid_data(grid, g.dim)
-    ranks = _grid_rank_vector(g, grid, transport)
+    ranks = g.kirillov.grid_ranks(grid)
     histogram: dict[int, int] = {}
     witnesses: dict[int, Covector] = {}
     for value, count in zip(*np.unique(ranks, return_counts=True)):
         histogram[int(value)] = int(count)
-        index = int(np.argmax(ranks == value))
-        first = covectors[index]
-        witnesses[int(value)] = transport.apply(first) if transport is not None else first
+        witnesses[int(value)] = covectors[int(np.argmax(ranks == value))]
     return RankProfile(histogram, witnesses)
 
 
@@ -450,8 +440,7 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
     if form.is_zero():
         return MDVerdict(kind="IsMD", max_dim=0, proof="zero-form")
 
-    pfaffians = _pfaffians_of(g)
-    if all(p.is_zero() for p in pfaffians):
+    if all(p.is_zero() for p in g.kirillov.pfaffians):
         return MDVerdict(kind="IsMD", max_dim=2, proof="pfaffian-vanishing")
 
     ell = form.common_linear_factor()
@@ -463,7 +452,7 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
 
     covectors, _ = _grid_data(grid, g.dim)
-    ranks = _grid_rank_vector(g, grid)
+    ranks = g.kirillov.grid_ranks(grid)
     first_by_rank: dict[int, Covector] = {}
     for value in np.unique(ranks):
         first_by_rank[int(value)] = covectors[int(np.argmax(ranks == value))]
@@ -508,7 +497,7 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
         max_dim = verdict.max_dim
     g1 = g.derived_ideal()
     covectors, arr = _grid_data(grid, g.dim)
-    ranks = _grid_rank_vector(g, grid)
+    ranks = g.kirillov.grid_ranks(grid)
     if g1.dim == 0:
         return None
     if g.dim == 5:

@@ -5,11 +5,17 @@ vectors over Q; skew-symmetry is structural.  Construction never requires
 the Jacobi identity (non-examples must be representable), but every
 analysis entry point that assumes a Lie algebra checks the cached Jacobi
 status first.
+
+An algebra is immutable after construction, so every structural fact
+(Jacobi status, derived and lower central series, center, centralizer of
+G^1, the action of ad on G^1, and the Kirillov-form data owned by
+``kirillov``) is a ``functools.cached_property`` computed at most once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .exact import MatrixQ, ONE, ZERO, format_rational, parse_rational
@@ -127,10 +133,10 @@ class LieAlgebra:
     """Finite-dimensional algebra over Q given by structure constants.
 
     brackets maps (i, j) with 0 <= i < j < dim to the coefficient vector of
-    [X_i, X_j]; missing pairs bracket to zero.
+    [X_i, X_j]; missing pairs bracket to zero.  Neither ``dim`` nor
+    ``brackets`` may change after construction: the cached facts below
+    depend on them.
     """
-
-    __slots__ = ("dim", "basis_names", "brackets", "_jacobi", "_derived", "_memo")
 
     def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Sequence],
                  basis_names: Sequence[str] | None = None):
@@ -150,9 +156,6 @@ class LieAlgebra:
         self.dim = dim
         self.basis_names = names
         self.brackets = table
-        self._jacobi = None
-        self._derived = None
-        self._memo = {}  # lazy caches keyed by analysis modules; values immutable
 
     # -- construction ---------------------------------------------------------
 
@@ -233,31 +236,27 @@ class LieAlgebra:
 
     # -- Jacobi ---------------------------------------------------------------
 
+    @cached_property
+    def _jacobi_failure(self):
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                bij = self.bracket_basis(i, j)
+                for k in range(j + 1, self.dim):
+                    total = [a + b + c for a, b, c in zip(
+                        self.bracket_with_basis(bij, k),
+                        self.bracket_with_basis(self.bracket_basis(j, k), i),
+                        self.bracket_with_basis(self.bracket_basis(k, i), j))]
+                    if any(x != 0 for x in total):
+                        return (i, j, k, tuple(total))
+        return None
+
     def jacobi_check(self):
         """None when the Jacobi identity holds; else (i, j, k, defect).
 
         The returned triple is 0-based and the defect is the exact value of
         [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj].
         """
-        if self._jacobi is None:
-            result = ()
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    bij = self.bracket_basis(i, j)
-                    for k in range(j + 1, self.dim):
-                        total = [a + b + c for a, b, c in zip(
-                            self.bracket_with_basis(bij, k),
-                            self.bracket_with_basis(self.bracket_basis(j, k), i),
-                            self.bracket_with_basis(self.bracket_basis(k, i), j))]
-                        if any(x != 0 for x in total):
-                            result = (i, j, k, tuple(total))
-                            break
-                    if result:
-                        break
-                if result:
-                    break
-            self._jacobi = result
-        return self._jacobi if self._jacobi else None
+        return self._jacobi_failure
 
     @property
     def is_lie(self) -> bool:
@@ -286,45 +285,49 @@ class LieAlgebra:
                     vectors.append(w)
         return Subspace(self.dim, vectors)
 
+    def _series(self, step) -> tuple[Subspace, ...]:
+        """G, G^1, then step(last term) until the dimension stabilizes."""
+        series = [Subspace.full(self.dim)]
+        nxt = self._derived_ideal
+        while nxt.dim != series[-1].dim:
+            series.append(nxt)
+            if nxt.dim == 0:
+                break
+            nxt = step(nxt)
+        return tuple(series)
+
+    @cached_property
+    def _derived_ideal(self) -> Subspace:
+        full = Subspace.full(self.dim)
+        return self.span_of_brackets(full, full)
+
+    @cached_property
+    def _derived_series(self) -> tuple[Subspace, ...]:
+        return self._series(lambda s: self.span_of_brackets(s, s))
+
+    @cached_property
+    def _lower_central_series(self) -> tuple[Subspace, ...]:
+        full = Subspace.full(self.dim)
+        return self._series(lambda s: self.span_of_brackets(full, s))
+
     def derived_series(self) -> list[Subspace]:
         """G >= G^1 >= G^2 >= ..., stopping at stabilization."""
-        series = [Subspace.full(self.dim)]
-        while True:
-            nxt = (self.derived_ideal() if len(series) == 1
-                   else self.span_of_brackets(series[-1], series[-1]))
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return list(self._derived_series)
 
     def lower_central_series(self) -> list[Subspace]:
-        series = [Subspace.full(self.dim)]
-        full = Subspace.full(self.dim)
-        while True:
-            nxt = self.span_of_brackets(full, series[-1])
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return list(self._lower_central_series)
 
     def derived_dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.derived_series())
+        return tuple(s.dim for s in self._derived_series)
 
     def lower_central_dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.lower_central_series())
+        return tuple(s.dim for s in self._lower_central_series)
 
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].dim == 0
+        return self._derived_series[-1].dim == 0
 
     def derived_ideal(self) -> Subspace:
-        if self._derived is None:
-            self._derived = self.span_of_brackets(
-                Subspace.full(self.dim), Subspace.full(self.dim))
-        return self._derived
+        return self._derived_ideal
 
     def centralizer(self, s: Subspace) -> Subspace:
         """{u : [u, v] = 0 for every v in s}, as a kernel computation."""
@@ -340,8 +343,20 @@ class LieAlgebra:
             blocks.extend(MatrixQ.from_columns(cols).data)
         return Subspace(self.dim, MatrixQ(blocks).nullspace())
 
-    def center(self) -> Subspace:
+    @cached_property
+    def _center(self) -> Subspace:
         return self.centralizer(Subspace.full(self.dim))
+
+    @cached_property
+    def _derived_centralizer(self) -> Subspace:
+        return self.centralizer(self._derived_ideal)
+
+    def center(self) -> Subspace:
+        return self._center
+
+    def derived_centralizer(self) -> Subspace:
+        """C_G(G^1), the centralizer of the derived ideal."""
+        return self._derived_centralizer
 
     def is_subspace_commutative(self, s: Subspace) -> bool:
         return self.span_of_brackets(s, s).dim == 0
@@ -364,12 +379,21 @@ class LieAlgebra:
             matrix = MatrixQ.from_columns(cols)
         return AdOperator(xx, s, matrix)
 
+    @cached_property
+    def _derived_ideal_commutative(self) -> bool:
+        return self.is_subspace_commutative(self._derived_ideal)
+
+    @cached_property
+    def _ad_on_derived(self) -> tuple[MatrixQ, ...]:
+        return tuple(self.ad_restricted(self.basis_vector(i), self._derived_ideal).matrix
+                     for i in range(self.dim))
+
     def derived_ideal_commutative(self) -> bool:
-        flag = self._memo.get("core.g1_commutative")
-        if flag is None:
-            flag = self.is_subspace_commutative(self.derived_ideal())
-            self._memo["core.g1_commutative"] = flag
-        return flag
+        return self._derived_ideal_commutative
+
+    def ad_on_derived(self) -> tuple[MatrixQ, ...]:
+        """Matrices of ad_{X_i} on G^1 in its RREF basis, one per basis vector."""
+        return self._ad_on_derived
 
     def ad_commute_check(self, x: Sequence, y: Sequence) -> bool:
         """Whether ad_x and ad_y commute as operators on the derived ideal.
@@ -377,12 +401,28 @@ class LieAlgebra:
         Refuses to run when the derived ideal is not commutative, since the
         guarantee only holds under that hypothesis.
         """
-        g1 = self.derived_ideal()
-        if not self.derived_ideal_commutative():
+        if not self._derived_ideal_commutative:
             raise ValueError("derived ideal is not commutative")
-        ax = self.ad_restricted(x, g1).matrix
-        ay = self.ad_restricted(y, g1).matrix
+        ax, ay = self._ad_on_derived_of(x), self._ad_on_derived_of(y)
         return ax @ ay == ay @ ax
+
+    def _ad_on_derived_of(self, x: Sequence) -> MatrixQ:
+        """ad_x on G^1 as sum_i x_i ad_{X_i}; ad is linear in x."""
+        size = self._derived_ideal.dim
+        total = MatrixQ.zero(size, size)
+        for c, a in zip(_as_vector(x, self.dim), self._ad_on_derived):
+            if c != 0:
+                total = total + a.scale(c)
+        return total
+
+    @cached_property
+    def kirillov(self):
+        """The Kirillov-form facts of this algebra (``kirillov.KirillovData``).
+
+        Building them requires the Jacobi identity.
+        """
+        from .kirillov import KirillovData  # kirillov imports this module
+        return KirillovData(self)
 
     # -- transport and sums ------------------------------------------------------
 

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from liemd import cli, kirillov
 from liemd.catalog import FamilyParams, build, parse_params
 from liemd.cli import main
 from liemd.exact import MatrixQ
+from liemd.kirillov import GridSpec
 from liemd.lie_core import LieAlgebra
 
 
@@ -115,6 +117,40 @@ def test_check_json_matches_golden(family, params, tmp_path, monkeypatch, capsys
     write_algebra(tmp_path / "algebra.json", build(family, parse_params(params)))
     assert main(["check", "algebra.json", "--json"]) == 0
     assert capsys.readouterr().out == golden(f"check_{family}.json")
+
+
+def test_analyze_computes_each_fact_once(monkeypatch):
+    counts = {"G1": 0, "md_check": 0, "rank_vector": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    span = LieAlgebra.span_of_brackets
+
+    def span_counted(self, left, right):
+        counts["G1"] += left.dim == right.dim == self.dim
+        return span(self, left, right)
+
+    md_check = counted("md_check", kirillov.md_check)
+    monkeypatch.setattr(LieAlgebra, "span_of_brackets", span_counted)
+    monkeypatch.setattr(kirillov, "md_check", md_check)
+    monkeypatch.setattr(cli, "md_check", md_check)
+    monkeypatch.setattr(kirillov._GridEngine, "ranks_int",
+                        counted("rank_vector", kirillov._GridEngine.ranks_int))
+    g = build("5.3.8", parse_params("l=2,angle=3/5:4/5"))
+    record = cli._analyze(g, GridSpec())
+    assert record["md"]["verdict"] == "IsMD" and record["maximality"] == "holds"
+    assert counts == {"G1": 1, "md_check": 1, "rank_vector": 1}
+
+
+def test_adjoints_commute_is_exact():
+    assert cli._adjoints_commute(build("5.3.4"))
+    # commutative G^1 = <X3, X4>, but ad_X1 and ad_X2 do not commute on it
+    table = LieAlgebra.from_brackets(4, [(1, 3, {3: 1}), (2, 3, {4: 1})])
+    assert not cli._adjoints_commute(table)
 
 
 def test_check_non_solvable_is_clean_without_verdict(tmp_path, capsys):

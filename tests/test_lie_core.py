@@ -200,6 +200,21 @@ def test_ad_commute_on_commutative_derived_ideal():
         assert g.ad_commute_check(x, y)
 
 
+def test_ad_commute_check_matches_direct_operators():
+    # G^1 = <X3, X4> is commutative, but the table fails Jacobi, so ad_X1
+    # and ad_X2 need not commute on it
+    table = LieAlgebra.from_brackets(4, [(1, 3, {3: 1}), (2, 3, {4: 1})])
+    g1 = table.derived_ideal()
+    assert not table.ad_commute_check(table.basis_vector(0), table.basis_vector(1))
+    rng = random.Random(13)
+    for _ in range(30):
+        x = [random_rational(rng) for _ in range(4)]
+        y = [random_rational(rng) for _ in range(4)]
+        ax = table.ad_restricted(x, g1).matrix
+        ay = table.ad_restricted(y, g1).matrix
+        assert table.ad_commute_check(x, y) == (ax @ ay == ay @ ax)
+
+
 def test_ad_commute_refuses_noncommutative_derived_ideal():
     sl2ish = LieAlgebra.from_brackets(
         3, [(1, 2, {3: 1}), (1, 3, {1: -2}), (2, 3, {2: 2})])
