@@ -5,12 +5,12 @@ no field depends on the basis the algebra is written in: dimension data of
 characteristic subspaces, the structural MD verdict (kind, maximal orbit
 dimension, whether every sub-Pfaffian vanishes), and spectral data of the
 adjoint action on the derived ideal recorded up to the scaling that a
-choice of complement vector leaves free.  Where the algebra is an abelian codim-1 ideal plus a
-one-dimensional complement, isomorphism is decided exactly: the two
-algebras are isomorphic iff the complement's adjoint matrices are similar
-up to a nonzero rational factor, and a witness basis change is assembled
-from the two Frobenius transforms.  Pairs that neither mechanism settles
-are reported unresolved, never silently passed.
+choice of complement vector leaves free.  Where the algebra is an abelian
+codim-1 ideal plus a one-dimensional complement, isomorphism is decided
+exactly: the two algebras are isomorphic iff the complement's adjoint
+matrices are similar up to a nonzero rational factor, and a witness basis
+change is assembled from the two Frobenius transforms.  Pairs that neither
+mechanism settles are reported unresolved, never silently passed.
 """
 
 from __future__ import annotations

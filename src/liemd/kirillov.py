@@ -323,7 +323,7 @@ class KirillovData:
     def engine(self) -> _GridEngine:
         return _GridEngine(self.form, self.pfaffians)
 
-    def grid_ranks(self, grid: GridSpec) -> np.ndarray:
+    def rank_vector(self, grid: GridSpec) -> np.ndarray:
         """Read-only ranks over the whole grid, in enumeration order."""
         ranks = self._ranks.get(grid)
         if ranks is None:
@@ -363,7 +363,7 @@ def rank_profile(g: LieAlgebra, grid: GridSpec = GridSpec()) -> RankProfile:
     """
     g.require_jacobi()
     covectors, _ = _grid_data(grid, g.dim)
-    ranks = g.kirillov.grid_ranks(grid)
+    ranks = g.kirillov.rank_vector(grid)
     histogram: dict[int, int] = {}
     witnesses: dict[int, Covector] = {}
     for value, count in zip(*np.unique(ranks, return_counts=True)):
@@ -452,7 +452,7 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
 
     covectors, _ = _grid_data(grid, g.dim)
-    ranks = g.kirillov.grid_ranks(grid)
+    ranks = g.kirillov.rank_vector(grid)
     first_by_rank: dict[int, Covector] = {}
     for value in np.unique(ranks):
         first_by_rank[int(value)] = covectors[int(np.argmax(ranks == value))]
@@ -497,7 +497,7 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
         max_dim = verdict.max_dim
     g1 = g.derived_ideal()
     covectors, arr = _grid_data(grid, g.dim)
-    ranks = g.kirillov.grid_ranks(grid)
+    ranks = g.kirillov.rank_vector(grid)
     if g1.dim == 0:
         return None
     if g.dim == 5:

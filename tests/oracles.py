@@ -4,9 +4,10 @@ Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
 and kernel dimension by plain Gaussian elimination with division.  They
 exist so that every certified answer is checked along a second route.
-The matrix builders at the end use the library's ``MatrixQ`` only as a
-container; they state identities (Cayley-Hamilton, Frobenius blocks,
-Pfaffian squared) that the exact kernels must satisfy.
+The three matrix helpers at the end are the exception: they are built on
+the library's ``MatrixQ`` and ``companion``, and tests use them to state
+identities (Cayley-Hamilton, Frobenius blocks, Pfaffian squared) that the
+exact kernels must satisfy.
 """
 
 from fractions import Fraction
