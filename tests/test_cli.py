@@ -119,6 +119,23 @@ def test_check_json_matches_golden(family, params, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == golden(f"check_{family}.json")
 
 
+# aff(C) + R: MD, but no exact rule decides it, so the verdict is
+# Inconclusive and reports how many grid points were sampled
+AFF_C_PLUS_R = [(1, 3, {3: 1}), (1, 4, {4: 1}), (2, 3, {4: -1}), (2, 4, {3: 1})]
+
+
+@pytest.mark.parametrize("name, algebra", [
+    ("5.3.8", lambda: build("5.3.8", parse_params("l=2,angle=3/5:4/5"))),
+    ("aff_c_plus_r", lambda: LieAlgebra.from_brackets(5, AFF_C_PLUS_R)),
+])
+def test_check_radius4_json_matches_golden(name, algebra, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    write_algebra(tmp_path / "algebra.json", algebra())
+    assert main(["check", "algebra.json", "--json", "--grid-radius", "4"]) == 0
+    assert capsys.readouterr().out == golden(f"check_r4_{name}.json")
+
+
 def test_analyze_computes_each_fact_once(monkeypatch):
     counts = {"G1": 0, "md_check": 0, "rank_vector": 0}
 
