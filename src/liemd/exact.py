@@ -271,31 +271,6 @@ def mat_rank(m: MatrixQ) -> int:
     return k
 
 
-def det(m: MatrixQ) -> Fraction:
-    """Exact determinant via Bareiss elimination (row pivoting only)."""
-    if not m.is_square():
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    a = [list(row) for row in m.data]
-    prev = ONE
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (pk * a[i][j] - aik * a[k][j]) / prev
-            a[i][k] = ZERO
-        prev = pk
-    return sign * a[n - 1][n - 1] if n else ONE
-
-
 def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(tI - M), coefficients ascending.
 
@@ -406,20 +381,6 @@ def scaled_invariant_factors(factors: Sequence[Sequence[Fraction]],
                              c: Scalar) -> tuple[tuple[Fraction, ...], ...]:
     """Invariant factors of c*M from those of M."""
     return tuple(poly_scale_argument(f, c) for f in factors)
-
-
-def companion(p: Sequence[Fraction]) -> MatrixQ:
-    """Companion matrix of a monic polynomial (ones on the subdiagonal)."""
-    p = poly_trim(p)
-    if not p or p[-1] != 1:
-        raise ValueError("companion matrix requires a monic polynomial")
-    d = len(p) - 1
-    m = [[ZERO] * d for _ in range(d)]
-    for i in range(1, d):
-        m[i][i - 1] = ONE
-    for i in range(d):
-        m[i][d - 1] = -p[i]
-    return MatrixQ(m)
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +541,6 @@ def frobenius_form(m: MatrixQ):
     q = MatrixQ.from_columns(columns)
     p = q.inverse()
     return factors, p
-
-
-def similar(a: MatrixQ, b: MatrixQ) -> bool:
-    """Exact similarity over Q via invariant factor comparison."""
-    if a.rows != b.rows or not a.is_square() or not b.is_square():
-        return False
-    return frobenius_form(a)[0] == frobenius_form(b)[0]
 
 
 # ---------------------------------------------------------------------------

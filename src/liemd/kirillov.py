@@ -10,8 +10,12 @@ re-verified at emission time, and sampling alone can at most produce
 ``Inconclusive`` evidence.
 
 ``KirillovData`` holds the per-algebra facts of this module: the symbolic
-form, its sub-Pfaffians, the vectorized rank engine and one rank vector
-per grid.  It is reached as ``g.kirillov`` and built once per algebra.
+form, its sub-Pfaffians, the vectorized rank engine and one int8 rank
+vector per grid.  It is reached as ``g.kirillov`` and built once per algebra.
+
+Grid scans are integer-native: ``GridSpec.integer_chunks`` yields the grid
+as int64 rows a bounded chunk at a time, and exact ``Fraction`` covectors
+are built (through ``GridSpec.covector``) only for the witnesses reported.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -35,13 +39,17 @@ from .exact import (
     parse_vector,
     pfaffian4,
 )
-from .lie_core import LieAlgebra, Subspace
+from .lie_core import LieAlgebra
 
 Covector = tuple[Fraction, ...]
 
 # ceiling for the numpy int64 fast path; beyond this we fall back to exact
 # Python integers
 _INT64_SAFE = 2 ** 62
+
+# rows per grid chunk: a grid scan holds one chunk at a time, so its working
+# memory does not grow with the radius
+GRID_CHUNK = 1 << 14
 
 
 def as_covector(values: Sequence, dim: int) -> Covector:
@@ -63,6 +71,10 @@ class GridSpec:
     the first coordinate slowest; the extra stage draws seeded random
     rationals with |numerator| <= 9 and denominator <= 9.  "First witness"
     always refers to this enumeration order.
+
+    Scans read the grid as int64 rows through ``integer_chunks``; exact
+    covectors are built only on request, through ``covector``.  The random
+    tail is drawn and cleared to integers once per grid and dimension.
     """
 
     radius: int = 2
@@ -81,17 +93,77 @@ class GridSpec:
             yield tuple(Fraction(x) for x in point)
 
     def random_points(self, n: int) -> Iterator[Covector]:
-        rng = random.Random(self.seed)
-        for _ in range(self.extra_random_samples):
-            yield tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                        for _ in range(n))
+        yield from self._tail(n)[0]
 
     def covectors(self, n: int) -> Iterator[Covector]:
         yield from self.integer_points(n)
         yield from self.random_points(n)
 
     def count(self, n: int) -> int:
-        return (2 * self.radius + 1) ** n + self.extra_random_samples
+        return self._box_size(n) + self.extra_random_samples
+
+    def covector(self, n: int, k: int) -> Covector:
+        """The k-th covector of the enumeration, exactly."""
+        if not 0 <= k < self.count(n):
+            raise IndexError(f"grid index {k} out of range")
+        box = self._box_size(n)
+        if k >= box:
+            return self._tail(n)[0][k - box]
+        base = 2 * self.radius + 1
+        coords = []
+        for _ in range(n):
+            k, digit = divmod(k, base)
+            coords.append(Fraction(digit - self.radius))
+        return tuple(reversed(coords))
+
+    def integer_chunks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The grid as (start, rows) pairs of at most GRID_CHUNK int64 rows.
+
+        Row i of a chunk is a positive multiple of ``covector(n, start + i)``
+        (box points are already integral, tail points have their
+        denominators cleared), which leaves every rank and every vanishing
+        test unchanged.  Tail entries are at most 9 * lcm(1..9), far below
+        the int64 guard.
+        """
+        box = self._box_size(n)
+        total = self.count(n)
+        for start in range(0, total, GRID_CHUNK):
+            stop = min(start + GRID_CHUNK, total)
+            parts = []
+            if start < box:
+                parts.append(self._box_rows(n, start, min(stop, box)))
+            if stop > box:
+                parts.append(self._tail(n)[1][max(start, box) - box:stop - box])
+            yield start, parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _box_size(self, n: int) -> int:
+        return (2 * self.radius + 1) ** n
+
+    def _box_rows(self, n: int, start: int, stop: int) -> np.ndarray:
+        """Box points start..stop-1: the base-(2r+1) digits of their index."""
+        index = np.arange(start, stop, dtype=np.int64)
+        rows = np.empty((len(index), n), dtype=np.int64)
+        for j in reversed(range(n)):
+            index, rows[:, j] = np.divmod(index, 2 * self.radius + 1)
+        return rows - self.radius
+
+    @cached_property
+    def _tails(self) -> dict[int, tuple[tuple[Covector, ...], np.ndarray]]:
+        return {}
+
+    def _tail(self, n: int) -> tuple[tuple[Covector, ...], np.ndarray]:
+        """The random tail as exact covectors and as cleared int64 rows."""
+        tail = self._tails.get(n)
+        if tail is None:
+            rng = random.Random(self.seed)
+            exact = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                for _ in range(n))
+                          for _ in range(self.extra_random_samples))
+            cleared = np.array(_clear_denominators(exact),
+                               dtype=np.int64).reshape(len(exact), n)
+            cleared.setflags(write=False)
+            tail = self._tails[n] = (exact, cleared)
+        return tail
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +328,7 @@ class _GridEngine:
     def ranks_int(self, x: np.ndarray) -> np.ndarray:
         """Exact ranks for integer covector rows (already cleared)."""
         if len(x) == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.int8)
         max_abs = int(np.abs(x).max(initial=0))
         if x.dtype != object and not self._within_bounds(max_abs):
             x = x.astype(object)
@@ -270,7 +342,7 @@ class _GridEngine:
             for a, b, c in terms:
                 value = value + x[:, a] * x[:, b] * c
             rank4 |= np.asarray(value != 0, dtype=bool)
-        ranks = np.zeros(len(x), dtype=np.int64)
+        ranks = np.zeros(len(x), dtype=np.int8)
         ranks[nonzero_entry] = 2
         ranks[rank4] = 4
         return ranks
@@ -278,7 +350,7 @@ class _GridEngine:
     def ranks(self, covectors: list[Covector]) -> np.ndarray:
         """Exact rank (0, 2 or 4) for each covector."""
         if not covectors:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.int8)
         return self.ranks_int(self._to_int_array(covectors))
 
 
@@ -287,20 +359,6 @@ def grid_ranks(g: LieAlgebra, covectors: list[Covector]) -> list[int]:
     if g.dim == 5:
         return [int(r) for r in g.kirillov.engine.ranks(covectors)]
     return [orbit_dim(g, f) for f in covectors]
-
-
-@lru_cache(maxsize=64)
-def _grid_data(grid: GridSpec, n: int):
-    """Exact covectors of a grid plus their denominator-cleared int rows.
-
-    Clearing denominators rescales each covector by a positive integer,
-    which leaves every rank unchanged; entries stay far below the int64
-    guard (|numerator| <= 9, denominator <= 9, so cleared values are at
-    most 9 * lcm(1..9)).
-    """
-    covs = list(grid.covectors(n))
-    arr = np.array(_clear_denominators(covs), dtype=np.int64)
-    return covs, arr
 
 
 class KirillovData:
@@ -324,15 +382,21 @@ class KirillovData:
         return _GridEngine(self.form, self.pfaffians)
 
     def rank_vector(self, grid: GridSpec) -> np.ndarray:
-        """Read-only ranks over the whole grid, in enumeration order."""
+        """Read-only int8 ranks over the whole grid, in enumeration order.
+
+        The grid is scanned one integer chunk at a time; only the rank
+        vector itself grows with the grid.
+        """
         ranks = self._ranks.get(grid)
         if ranks is None:
-            covs, arr = _grid_data(grid, self.form.dim)
-            if self.form.dim == 5:
-                ranks = self.engine.ranks_int(arr)
-            else:
-                ranks = np.array([mat_rank(self.form.evaluate(f)) for f in covs],
-                                 dtype=np.int64)
+            n = self.form.dim
+            ranks = np.empty(grid.count(n), dtype=np.int8)
+            for start, rows in grid.integer_chunks(n):
+                if n == 5:
+                    chunk = self.engine.ranks_int(rows)
+                else:
+                    chunk = [mat_rank(self.form.evaluate(row)) for row in rows.tolist()]
+                ranks[start:start + len(rows)] = chunk
             ranks.setflags(write=False)
             self._ranks[grid] = ranks
         return ranks
@@ -362,14 +426,22 @@ def rank_profile(g: LieAlgebra, grid: GridSpec = GridSpec()) -> RankProfile:
     reported for one presentation and never used to compare algebras.
     """
     g.require_jacobi()
-    covectors, _ = _grid_data(grid, g.dim)
-    ranks = g.kirillov.rank_vector(grid)
-    histogram: dict[int, int] = {}
-    witnesses: dict[int, Covector] = {}
-    for value, count in zip(*np.unique(ranks, return_counts=True)):
-        histogram[int(value)] = int(count)
-        witnesses[int(value)] = covectors[int(np.argmax(ranks == value))]
+    strata = _rank_strata(g.kirillov.rank_vector(grid))
+    histogram = {r: count for r, (_, count) in strata.items()}
+    witnesses = {r: grid.covector(g.dim, first) for r, (first, _) in strata.items()}
     return RankProfile(histogram, witnesses)
+
+
+def _rank_strata(ranks: np.ndarray) -> dict[int, tuple[int, int]]:
+    """Each rank on the grid: the index of its first point and its count.
+
+    One boolean mask at a time, so the scan needs a byte per grid point.
+    """
+    strata = {}
+    for value in np.unique(ranks):
+        hits = ranks == value
+        strata[int(value)] = (int(np.argmax(hits)), int(np.count_nonzero(hits)))
+    return strata
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +523,14 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         max_dim = mat_rank(b_form_at(g, point))
         return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
 
-    covectors, _ = _grid_data(grid, g.dim)
     ranks = g.kirillov.rank_vector(grid)
-    first_by_rank: dict[int, Covector] = {}
-    for value in np.unique(ranks):
-        first_by_rank[int(value)] = covectors[int(np.argmax(ranks == value))]
-    nonzero = sorted(r for r in first_by_rank if r > 0)
+    strata = _rank_strata(ranks)
+    nonzero = sorted(r for r in strata if r > 0)
     if len(nonzero) >= 2:
         low, high = nonzero[0], nonzero[-1]
-        wl = (first_by_rank[low], mat_rank(b_form_at(g, first_by_rank[low])))
-        wh = (first_by_rank[high], mat_rank(b_form_at(g, first_by_rank[high])))
+        f_low, f_high = (grid.covector(g.dim, strata[r][0]) for r in (low, high))
+        wl = (f_low, mat_rank(b_form_at(g, f_low)))
+        wh = (f_high, mat_rank(b_form_at(g, f_high)))
         assert wl[1] == low and wh[1] == high, "fast rank path disagrees with Bareiss"
         return MDVerdict(kind="NotMD", witness_low=wl, witness_high=wh)
     top = nonzero[-1] if nonzero else 0
@@ -468,18 +538,13 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         kind="Inconclusive",
         max_rank_attained=top,
         pfaffian_status="nonzero",
-        samples_tested=len(covectors),
+        samples_tested=len(ranks),
     )
 
 
 # ---------------------------------------------------------------------------
 # maximality of orbits through covectors seen by the derived ideal
 # ---------------------------------------------------------------------------
-
-def covector_vanishes_on(f: Sequence, s: Subspace) -> bool:
-    cov = parse_vector(f)
-    return all(sum(a * b for a, b in zip(cov, v)) == 0 for v in s.basis())
-
 
 def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
                                   max_dim: int | None = None):
@@ -496,22 +561,23 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
             raise ValueError("maximality check requires an IsMD verdict")
         max_dim = verdict.max_dim
     g1 = g.derived_ideal()
-    covectors, arr = _grid_data(grid, g.dim)
-    ranks = g.kirillov.rank_vector(grid)
     if g1.dim == 0:
         return None
-    if g.dim == 5:
-        cleared = _clear_denominators(g1.basis())
-        peak = (int(np.abs(arr).max(initial=0))
-                * max((abs(v) for row in cleared for v in row), default=0) * g.dim)
+    ranks = g.kirillov.rank_vector(grid)
+    # F vanishes on G^1 iff its cleared row pairs to zero with every
+    # cleared basis vector of G^1
+    cleared = _clear_denominators(g1.basis())
+    basis_peak = max(abs(v) for row in cleared for v in row) * g.dim
+    for start, rows in grid.integer_chunks(g.dim):
+        # only points off the maximal rank can violate the property
+        offmax = np.flatnonzero(ranks[start:start + len(rows)] != max_dim)
+        if not len(offmax):
+            continue
+        rows = rows[offmax]
+        peak = int(np.abs(rows).max(initial=0)) * basis_peak
         dtype = np.int64 if peak < _INT64_SAFE else object
         basis_int = np.array(cleared, dtype=dtype)
-        nonvanishing = (arr.astype(dtype) @ basis_int.T != 0).any(axis=1)
-        bad = (ranks != max_dim) & nonvanishing
-        if not bad.any():
-            return None
-        return covectors[int(np.argmax(bad))]
-    for f, r in zip(covectors, ranks):
-        if r != max_dim and not covector_vanishes_on(f, g1):
-            return f
+        nonvanishing = (rows.astype(dtype) @ basis_int.T != 0).any(axis=1)
+        if nonvanishing.any():
+            return grid.covector(g.dim, start + int(offmax[np.argmax(nonvanishing)]))
     return None

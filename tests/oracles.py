@@ -4,16 +4,16 @@ Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
 and kernel dimension by plain Gaussian elimination with division.  They
 exist so that every certified answer is checked along a second route.
-The three matrix helpers at the end are the exception: they are built on
-the library's ``MatrixQ`` and ``companion``, and tests use them to state
-identities (Cayley-Hamilton, Frobenius blocks, Pfaffian squared) that the
-exact kernels must satisfy.
+The matrix helpers at the end are the exception: they are built on the
+library's ``MatrixQ`` and ``frobenius_form``, and tests use them to state
+identities (Cayley-Hamilton, Frobenius blocks, similarity) that the exact
+kernels must satisfy.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from liemd.exact import MatrixQ, companion, poly_degree, poly_trim
+from liemd.exact import MatrixQ, frobenius_form, poly_degree, poly_trim
 
 
 def _rows_of(m):
@@ -110,6 +110,27 @@ def poly_eval_matrix(p, m: MatrixQ) -> MatrixQ:
             result = result + power.scale(c)
         power = power @ m
     return result
+
+
+def companion(p) -> MatrixQ:
+    """Companion matrix of a monic polynomial (ones on the subdiagonal)."""
+    p = poly_trim(p)
+    if not p or p[-1] != 1:
+        raise ValueError("companion matrix requires a monic polynomial")
+    d = len(p) - 1
+    m = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(1, d):
+        m[i][i - 1] = Fraction(1)
+    for i in range(d):
+        m[i][d - 1] = -p[i]
+    return MatrixQ(m)
+
+
+def similar(a: MatrixQ, b: MatrixQ) -> bool:
+    """Similarity over Q by comparing invariant factors."""
+    if a.rows != b.rows or not a.is_square() or not b.is_square():
+        return False
+    return frobenius_form(a)[0] == frobenius_form(b)[0]
 
 
 def frobenius_block_matrix(factors) -> MatrixQ:

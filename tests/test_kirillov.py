@@ -1,10 +1,13 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from liemd.catalog import FamilyParams, build
+from liemd import kirillov
+from liemd.catalog import FamilyParams, build, parse_params
 from liemd.exact import MatrixQ, PolyQ, mat_rank
 from liemd.kirillov import (
     GridSpec,
@@ -28,6 +31,16 @@ def g51():
 
 def g523():
     return build("rejected.5.2.3")
+
+
+def g538():
+    return build("5.3.8", parse_params("l=2,angle=3/5:4/5"))
+
+
+def huge_constants():
+    # structure constants beyond int64 send the rank engine down its exact
+    # object-dtype path
+    return LieAlgebra.from_brackets(5, [(1, 2, {5: F(2 ** 80)}), (3, 4, {5: 1})])
 
 
 F5 = PolyQ.variable(4, 5)
@@ -200,6 +213,28 @@ def test_grid_rejects_bad_parameters():
         GridSpec(extra_random_samples=-1)
 
 
+def test_integer_chunks_enumerate_the_covectors():
+    for radius in (1, 2, 3):
+        for n in (2, 3, 5):
+            for samples in (0, 20):
+                grid = GridSpec(radius=radius, extra_random_samples=samples, seed=4)
+                exact = list(grid.covectors(n))
+                rows = []
+                for start, chunk in grid.integer_chunks(n):
+                    assert start == len(rows) and chunk.dtype == np.int64
+                    assert 0 < len(chunk) <= kirillov.GRID_CHUNK
+                    rows.extend(chunk.tolist())
+                assert len(rows) == len(exact) == grid.count(n)
+                for k, (row, cov) in enumerate(zip(rows, exact)):
+                    assert grid.covector(n, k) == cov
+                    i = next((i for i, x in enumerate(cov) if x != 0), 0)
+                    scale = F(row[i]) / cov[i] if cov[i] else F(1)
+                    assert scale > 0 and row == [scale * x for x in cov]
+                for k in (-1, grid.count(n)):
+                    with pytest.raises(IndexError):
+                        grid.covector(n, k)
+
+
 def test_fast_rank_path_matches_bareiss(catalog_samples):
     grid = GridSpec(radius=1, extra_random_samples=30, seed=5)
     covs = list(grid.covectors(5))
@@ -227,8 +262,7 @@ def test_fast_rank_path_survives_int64_overflow():
 
 
 def test_fast_rank_path_huge_structure_constants():
-    huge = F(2 ** 80)
-    g = LieAlgebra.from_brackets(5, [(1, 2, {5: huge}), (3, 4, {5: 1})])
+    g = huge_constants()
     covs = [tuple(F(x) for x in c) for c in
             [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1)]]
     fast = grid_ranks(g, covs)
@@ -378,6 +412,50 @@ def test_md_verdict_consistent_with_grid_oracle(catalog_samples):
             assert observed <= {0, verdict.max_dim}, label
         elif verdict.kind == "NotMD":
             assert len({r for r in observed if r > 0}) >= 2, label
+
+
+def test_maximality_skips_the_grid_when_derived_ideal_is_zero(monkeypatch):
+    def untouched(*args):
+        raise AssertionError("grid scanned")
+
+    monkeypatch.setattr(kirillov.KirillovData, "rank_vector", untouched)
+    monkeypatch.setattr(GridSpec, "integer_chunks", untouched)
+    assert nonvanishing_maximality_check(LieAlgebra.abelian(5), max_dim=0) is None
+
+
+@pytest.mark.parametrize("make", [g538, g523, huge_constants])
+def test_grid_results_do_not_depend_on_the_chunk_size(make, monkeypatch):
+    grid = GridSpec()
+
+    def results():
+        g = make()
+        ranks = g.kirillov.rank_vector(grid)
+        assert ranks.dtype == np.int8 and not ranks.flags.writeable
+        profile = rank_profile(g, grid)
+        return (ranks.tolist(), profile, md_check(g, grid),
+                nonvanishing_maximality_check(g, grid, max_dim=max(profile.histogram)))
+
+    default = results()
+    # 7 divides neither the box (3125) nor the grid (3325), so one chunk
+    # straddles the box and the random tail
+    monkeypatch.setattr(kirillov, "GRID_CHUNK", 7)
+    assert len(list(grid.integer_chunks(5))) == -(-grid.count(5) // 7)
+    assert results() == default
+
+
+def test_rank_vector_peak_memory_is_flat_in_the_radius():
+    def peak(radius):
+        g = g538()
+        g.kirillov.engine  # built outside the traced region
+        tracemalloc.start()
+        try:
+            g.kirillov.rank_vector(GridSpec(radius=radius))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # radius 6 has 22x the points of radius 3
+    assert peak(6) <= 2 * peak(3)
 
 
 def test_maximality_counterexample_for_discrepancy_family():
