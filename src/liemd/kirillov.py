@@ -51,6 +51,10 @@ _INT64_SAFE = 2 ** 62
 # memory does not grow with the radius
 GRID_CHUNK = 1 << 14
 
+# the random tail draws numerators from -9..9 and denominators from 1..9, so
+# a cleared tail entry is at most 9 * lcm(1..9)
+_TAIL_ENTRY_BOUND = 9 * lcm(*range(1, 10))
+
 
 def as_covector(values: Sequence, dim: int) -> Covector:
     vec = parse_vector(values)
@@ -122,8 +126,8 @@ class GridSpec:
         Row i of a chunk is a positive multiple of ``covector(n, start + i)``
         (box points are already integral, tail points have their
         denominators cleared), which leaves every rank and every vanishing
-        test unchanged.  Tail entries are at most 9 * lcm(1..9), far below
-        the int64 guard.
+        test unchanged.  Tail entries are at most ``_TAIL_ENTRY_BOUND``, far
+        below the int64 guard.
         """
         box = self._box_size(n)
         total = self.count(n)
@@ -567,17 +571,17 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
     # F vanishes on G^1 iff its cleared row pairs to zero with every
     # cleared basis vector of G^1
     cleared = _clear_denominators(g1.basis())
-    basis_peak = max(abs(v) for row in cleared for v in row) * g.dim
+    # |<row, basis vector>| <= (grid entry bound) * (basis entry bound) * dim
+    entry_peak = max(grid.radius, _TAIL_ENTRY_BOUND)
+    basis_peak = max(abs(v) for row in cleared for v in row)
+    dtype = np.int64 if entry_peak * basis_peak * g.dim < _INT64_SAFE else object
+    basis_int = np.array(cleared, dtype=dtype)
     for start, rows in grid.integer_chunks(g.dim):
         # only points off the maximal rank can violate the property
         offmax = np.flatnonzero(ranks[start:start + len(rows)] != max_dim)
         if not len(offmax):
             continue
-        rows = rows[offmax]
-        peak = int(np.abs(rows).max(initial=0)) * basis_peak
-        dtype = np.int64 if peak < _INT64_SAFE else object
-        basis_int = np.array(cleared, dtype=dtype)
-        nonvanishing = (rows.astype(dtype) @ basis_int.T != 0).any(axis=1)
+        nonvanishing = (rows[offmax].astype(dtype) @ basis_int.T != 0).any(axis=1)
         if nonvanishing.any():
             return grid.covector(g.dim, start + int(offmax[np.argmax(nonvanishing)]))
     return None

@@ -43,6 +43,15 @@ def huge_constants():
     return LieAlgebra.from_brackets(5, [(1, 2, {5: F(2 ** 80)}), (3, 4, {5: 1})])
 
 
+def basis_changed_538():
+    # an IsMD algebra whose cleared derived-ideal basis overflows int64,
+    # while its grid points off the maximal rank are only the zero covector
+    big = 2 ** 70
+    p = [[int(i == j) for j in range(5)] for i in range(5)]
+    p[0][1], p[1][4], p[2][3], p[4][2] = big + 1, 5 * big + 7, big - 3, 3
+    return g538().change_of_basis(MatrixQ(p))
+
+
 F5 = PolyQ.variable(4, 5)
 F4 = PolyQ.variable(3, 5)
 
@@ -397,6 +406,14 @@ def test_maximality_holds_for_md_instances():
     assert nonvanishing_maximality_check(LieAlgebra.abelian(5)) is None
 
 
+def test_maximality_holds_when_the_derived_basis_exceeds_int64():
+    g = basis_changed_538()
+    assert max(abs(v) for row in kirillov._clear_denominators(g.derived_ideal().basis())
+               for v in row) >= 2 ** 63
+    assert md_check(g).kind == "IsMD"
+    assert nonvanishing_maximality_check(g) is None
+
+
 def test_maximality_requires_ismd():
     with pytest.raises(ValueError, match="IsMD"):
         nonvanishing_maximality_check(g523())
@@ -423,7 +440,7 @@ def test_maximality_skips_the_grid_when_derived_ideal_is_zero(monkeypatch):
     assert nonvanishing_maximality_check(LieAlgebra.abelian(5), max_dim=0) is None
 
 
-@pytest.mark.parametrize("make", [g538, g523, huge_constants])
+@pytest.mark.parametrize("make", [g538, g523, huge_constants, basis_changed_538])
 def test_grid_results_do_not_depend_on_the_chunk_size(make, monkeypatch):
     grid = GridSpec()
 
