@@ -7,9 +7,12 @@ canonical key order, no timestamps), and wall-clock timings appear only in
 the human-readable text.
 
 Exit codes for ``check``: 0 clean analysis (any verdict), 2 malformed
-input, 3 Jacobi failure.  ``verify-catalog`` exits 0 iff every expectation
-holds, where the known discrepancy family is expected to fail the MD test
-and is reported with oracle evidence rather than treated as a crash.
+input, 3 Jacobi failure.  ``fingerprint``, ``iso`` and ``separate`` exit 2
+on an algebra they cannot analyse (Jacobi failure, not solvable, wrong
+dimension, or outside the iso test's codim-1 case).  ``verify-catalog``
+exits 0 iff every expectation holds, where the known discrepancy family is
+expected to fail the MD test and is reported with oracle evidence rather
+than treated as a crash.
 """
 
 from __future__ import annotations
@@ -210,7 +213,10 @@ def cmd_catalog_build(args) -> int:
 def cmd_fingerprint(args) -> int:
     g = _load_algebra(args.file)
     grid = _grid_from_args(args)
-    fp = fingerprint(g, grid)
+    try:
+        fp = fingerprint(g, grid)
+    except ValueError as exc:
+        raise SystemExit2(f"{args.file}: {exc}")
     doc = fp.to_dict()
     doc["file"] = args.file
     _emit_json(doc)  # the fingerprint is inherently structured; always JSON
@@ -252,7 +258,10 @@ def cmd_separate(args) -> int:
     else:
         instances = [(path, _load_algebra(path)) for path in args.targets]
     grid = _grid_from_args(args)
-    pairs = separation_matrix(instances, grid)
+    try:
+        pairs = separation_matrix(instances, grid)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
     doc = {"pairs": [p.to_dict() for p in pairs]}
     if args.json:
         _emit_json(doc)

@@ -324,7 +324,12 @@ def separation_matrix(instances: Sequence[tuple[str, LieAlgebra]],
     codim-1 algebras fall through to the exact scaled-similarity test.
     Anything left is reported unresolved.
     """
-    prints = [fingerprint(g, grid) for _, g in instances]
+    prints = []
+    for label, g in instances:
+        try:
+            prints.append(fingerprint(g, grid))
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from exc
     out = []
     for i in range(len(instances)):
         for j in range(i + 1, len(instances)):

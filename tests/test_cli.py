@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from liemd.cli import main
 from liemd.exact import MatrixQ
 from liemd.kirillov import GridSpec
 from liemd.lie_core import LieAlgebra
+from conftest import random_invertible
 
 
 def write_algebra(path, g: LieAlgebra):
@@ -277,6 +279,46 @@ def test_iso_command_not_iso(tmp_path, capsys):
     b = write_algebra(tmp_path / "b.json", build("5.4.4", FamilyParams(lambdas=(2,))))
     assert main(["iso", a, b]) == 0
     assert "NotIso" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algebra, message", [
+    (LieAlgebra.from_brackets(3, [(1, 2, {2: 1})]), "dimension 5"),
+    (LieAlgebra.from_brackets(5, [(1, 2, {3: 1}), (1, 3, {1: -2}), (2, 3, {2: 2})]),
+     "solvable"),
+    (LieAlgebra.from_brackets(5, [(1, 2, {1: 1}), (1, 3, {2: 1})]), "Jacobi"),
+], ids=["dim3", "sl2_plus_r2", "jacobi"])
+def test_fingerprint_and_separate_reject_unsupported_input_exit2(
+        algebra, message, tmp_path, g51_file, capsys):
+    path = write_algebra(tmp_path / "bad.json", algebra)
+    assert main(["fingerprint", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["separate", g51_file, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def _moved(family: str, params: str, seed: int) -> LieAlgebra:
+    g = build(family, parse_params(params))
+    return g.change_of_basis(random_invertible(random.Random(seed), 5))
+
+
+# witness bytes: a cyclic and a derogatory ad action against a seeded
+# basis change of themselves, and a pair the scaled-similarity test splits
+@pytest.mark.parametrize("name, a, b", [
+    ("5.4.14", lambda: build("5.4.14", parse_params("l=2,mu=1,angle=3/5:4/5")),
+     lambda: _moved("5.4.14", "l=2,mu=1,angle=3/5:4/5", 11)),
+    ("5.4.3", lambda: build("5.4.3", parse_params("l=2")),
+     lambda: _moved("5.4.3", "l=2", 12)),
+    ("not_iso", lambda: build("5.4.3", parse_params("l=2")),
+     lambda: build("5.4.4", parse_params("l=2"))),
+])
+def test_iso_json_matches_golden(name, a, b, tmp_path, monkeypatch, capsys):
+    # iso echoes its file arguments, so the inputs have fixed relative names
+    monkeypatch.chdir(tmp_path)
+    write_algebra(tmp_path / "a.json", a())
+    write_algebra(tmp_path / "b.json", b())
+    assert main(["iso", "a.json", "b.json", "--json"]) == 0
+    assert capsys.readouterr().out == golden(f"iso_{name}.json")
 
 
 def test_iso_command_precondition_exit2(tmp_path, capsys):
