@@ -423,46 +423,36 @@ def _vector_annihilator(m: MatrixQ, v: Sequence[Fraction]):
         current = m.apply(current)
 
 
-def _basis_annihilators(m: MatrixQ):
-    n = m.rows
-    out = []
-    for i in range(n):
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        out.append(_vector_annihilator(m, e)[0])
-    return out
+def _maximal_vector(m: MatrixQ):
+    """Annihilator and Krylov chain of a vector whose annihilator is the
+    minimal polynomial of m.
 
-
-def _maximal_vector(m: MatrixQ, anns: Sequence[Sequence[Fraction]]):
-    """A vector whose annihilator equals the minimal polynomial.
-
-    Greedy combination over the standard basis; for a wrong mixing scalar c
-    the annihilator of v + c*e drops below lcm only on finitely many c (at
-    most one per maximal divisor), so a short scan always succeeds.
+    Greedy combination over the standard basis, starting from e_0: the
+    annihilator of e_i is computed only when the scan reaches it, so a
+    cyclic e_0 (annihilator of degree n) costs one Krylov run.  For a
+    wrong mixing scalar c the annihilator of v + c*e drops below lcm only
+    on finitely many c (at most one per maximal divisor), so a short scan
+    always succeeds; c = 0 never raises the degree and is skipped.  The
+    chain starts at the chosen vector.
     """
     n = m.rows
-    minpoly: tuple[Fraction, ...] = (ONE,)
-    for ann in anns:
-        minpoly = poly_lcm(minpoly, ann)
-    target_deg = poly_degree(minpoly)
-    v = tuple(ONE if j == 0 else ZERO for j in range(n))
-    ann = anns[0]
+    ann, chain = _vector_annihilator(m, tuple(ONE if j == 0 else ZERO for j in range(n)))
     for i in range(1, n):
-        if poly_degree(ann) == target_deg:
+        if len(chain) == n:
             break
-        joint = poly_lcm(ann, anns[i])
+        e = tuple(ONE if j == i else ZERO for j in range(n))
+        joint = poly_lcm(ann, _vector_annihilator(m, e)[0])
         if poly_degree(joint) == poly_degree(ann):
             continue
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        for c in range(0, n + 3):
-            cand = tuple(a + c * b for a, b in zip(v, e))
-            ann_c, _ = _vector_annihilator(m, cand)
+        for c in range(1, n + 3):
+            cand = tuple(a + c * b for a, b in zip(chain[0], e))
+            ann_c, chain_c = _vector_annihilator(m, cand)
             if poly_degree(ann_c) == poly_degree(joint):
-                v, ann = cand, ann_c
+                ann, chain = ann_c, chain_c
                 break
         else:
             raise AssertionError("maximal vector mixing scan failed")
-    assert poly_degree(ann) == target_deg
-    return v, ann
+    return ann, chain
 
 
 def _invariant_complement(m: MatrixQ, chain: list[tuple[Fraction, ...]]):
@@ -496,6 +486,12 @@ def frobenius_form(m: MatrixQ):
     P is invertible and P @ M @ P^-1 is block diagonal with the companion
     matrices of the invariant factors, in the order of the returned list.
     Two square matrices over Q are similar iff these lists coincide.
+
+    The largest factor comes from one Krylov chain of a maximal vector
+    (``_maximal_vector``), the rest from the same procedure on an invariant
+    complement; the columns of P^-1 are the chains.  Every choice made
+    depends only on annihilator degrees, which is why ``scaled_frobenius``
+    can derive the form of c*M from this one.
     """
     if not m.is_square():
         raise ValueError("Frobenius form of non-square matrix")
@@ -507,8 +503,7 @@ def frobenius_form(m: MatrixQ):
         # embed maps the local coordinates back into the original space
         if mat.rows == 0:
             return
-        v, ann = _maximal_vector(mat, _basis_annihilators(mat))
-        _, chain = _vector_annihilator(mat, v)
+        ann, chain = _maximal_vector(mat)
         factors_desc.append(ann)
         basis_chains_desc.append([_lift(vec, embed) for vec in chain])
         if len(chain) < mat.rows:
@@ -541,6 +536,26 @@ def frobenius_form(m: MatrixQ):
     q = MatrixQ.from_columns(columns)
     p = q.inverse()
     return factors, p
+
+
+def scaled_frobenius(factors: Sequence[Sequence[Fraction]], p: MatrixQ, c: Scalar):
+    """``frobenius_form(c * M)`` from ``(factors, p) = frobenius_form(M)``.
+
+    For c != 0, c*M has the same annihilator degrees as M, so the
+    decomposition makes the same choices: the j-th vector of each Krylov
+    chain is multiplied by c**j and every invariant complement is
+    unchanged.  Hence the factors are ``scaled_invariant_factors`` and row
+    j of each companion block of P is divided by c**j; the result equals
+    a direct decomposition exactly.
+    """
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("scale factor must be nonzero")
+    rows = []
+    for f in factors:
+        for j in range(poly_degree(f)):
+            rows.append([x / c ** j for x in p.data[len(rows)]])
+    return list(scaled_invariant_factors(factors, c)), MatrixQ(rows)
 
 
 # ---------------------------------------------------------------------------

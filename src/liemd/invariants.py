@@ -23,22 +23,18 @@ from .exact import (
     MatrixQ,
     ONE,
     ZERO,
-    char_poly,
     format_rational,
-    frobenius_form,
     mat_rank,
     poly_degree,
+    poly_mul,
     rational_kth_roots,
+    scaled_frobenius,
     scaled_invariant_factors,
 )
 from .kirillov import GridSpec, md_check
 from .lie_core import LieAlgebra, Subspace
 
 Factors = tuple[tuple[Fraction, ...], ...]
-
-
-def _invariant_factors(m: MatrixQ) -> Factors:
-    return tuple(tuple(f) for f in frobenius_form(m)[0])
 
 
 def _factors_json(factors: Factors) -> list:
@@ -57,24 +53,35 @@ def _operator_span_dim(mats: Sequence[MatrixQ]) -> int:
     return mat_rank(MatrixQ(rows))
 
 
-def _ray_record(a: MatrixQ):
+def _lower_char_coeffs(factors: Factors) -> list[Fraction]:
+    """Coefficients of t^(m-1), ..., t^0 in the characteristic polynomial.
+
+    The characteristic polynomial is the product of the invariant factors.
+    """
+    coeffs = (ONE,)
+    for f in factors:
+        coeffs = poly_mul(coeffs, f)
+    m = len(coeffs) - 1  # ascending; coeff of t^(m-j) is coeffs[m-j]
+    return [coeffs[m - j] for j in range(1, m + 1)]
+
+
+def _ray_record(factors: Factors):
     """Similarity data of the ray {c * a : c != 0}, recorded scale-free.
 
-    The characteristic coefficient of degree m-k scales by c^k, so the
-    ratios a_j^k0 / a_k0^j are scale-invariant, as are the invariant
-    factor degrees.  The candidate scalars normalising the first nonzero
-    coefficient to +-1 pin down at most four exact representatives whose
-    Frobenius data is recorded as a set.
+    ``factors`` are the invariant factors of a.  The characteristic
+    coefficient of degree m-k scales by c^k, so the ratios a_j^k0 / a_k0^j
+    are scale-invariant, as are the invariant factor degrees.  The
+    candidate scalars normalising the first nonzero coefficient to +-1 pin
+    down at most four exact representatives whose Frobenius data is
+    recorded as a set.
     """
-    m = a.rows
-    coeffs = char_poly(a)  # ascending; coeff of t^(m-j) is coeffs[m-j]
-    lower = [coeffs[m - j] for j in range(1, m + 1)]
+    lower = _lower_char_coeffs(factors)
+    m = len(lower)
     if all(c == 0 for c in lower):
-        return ("nilpotent", _invariant_factors(a))
+        return ("nilpotent", factors)
     k0 = next(j for j in range(1, m + 1) if lower[j - 1] != 0)
     anchor = lower[k0 - 1]
     ratios = tuple(lower[j - 1] ** k0 / anchor ** j for j in range(1, m + 1))
-    factors = _invariant_factors(a)
     shape = tuple(poly_degree(f) for f in factors)
     normalized = set()
     for target in (ONE, -ONE):
@@ -179,8 +186,8 @@ def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
     d_act = _operator_span_dim(mats)
     ray = None
     if d_act == 1:
-        rep = next(m for m in mats if not m.is_zero())
-        ray = _ray_record(rep)
+        index = next(i for i, m in enumerate(mats) if not m.is_zero())
+        ray = _ray_record(tuple(g.frobenius_on_derived(index)[0]))
     spectral = (d_act, ray, _invariant_line_record(g))
     return Fingerprint(dims, kirillov, spectral)
 
@@ -221,11 +228,11 @@ def _codim1_probe(g: LieAlgebra):
 
 
 def _assemble_witness(a: LieAlgebra, b: LieAlgebra, c: Fraction,
-                      probe_a: int, g1a: Subspace, ad_a: MatrixQ,
-                      probe_b: int, g1b: Subspace, ad_b: MatrixQ) -> MatrixQ:
+                      probe_a: int, g1a: Subspace, probe_b: int,
+                      g1b: Subspace) -> MatrixQ:
     """Basis-change P with change_of_basis(a, P) == b, from Frobenius data."""
-    facs_a, p1 = frobenius_form(ad_a.scale(c))
-    facs_b, p2 = frobenius_form(ad_b)
+    facs_a, p1 = scaled_frobenius(*a.frobenius_on_derived(probe_a), c)
+    facs_b, p2 = b.frobenius_on_derived(probe_b)
     if facs_a != facs_b:
         raise AssertionError("scaled operators lost similarity during assembly")
     s = p2.inverse() @ p1  # s (c ad_a) s^-1 == ad_b
@@ -262,12 +269,11 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
     b.require_jacobi()
     probe_a, g1a = _codim1_probe(a)
     probe_b, g1b = _codim1_probe(b)
-    ad_a = a.ad_on_derived()[probe_a]
-    ad_b = b.ad_on_derived()[probe_b]
-    m = ad_a.rows
-    ca, cb = char_poly(ad_a), char_poly(ad_b)
-    lower_a = [ca[m - j] for j in range(1, m + 1)]
-    lower_b = [cb[m - j] for j in range(1, m + 1)]
+    factors_a = tuple(a.frobenius_on_derived(probe_a)[0])
+    factors_b = tuple(b.frobenius_on_derived(probe_b)[0])
+    lower_a = _lower_char_coeffs(factors_a)
+    lower_b = _lower_char_coeffs(factors_b)
+    m = len(lower_a)
     support_a = [j for j, x in enumerate(lower_a, start=1) if x != 0]
     support_b = [j for j, x in enumerate(lower_b, start=1) if x != 0]
     if support_a != support_b:
@@ -283,15 +289,12 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
             lower_b[k0 - 1] / lower_a[k0 - 1], k0)
         if not candidates:
             return IsoResult(kind="NotIso", field="no rational scaling factor")
-    factors_a = _invariant_factors(ad_a)
-    factors_b = _invariant_factors(ad_b)
     for c in candidates:
         if any(lower_a[j - 1] * c ** j != lower_b[j - 1] for j in range(1, m + 1)):
             continue
         if scaled_invariant_factors(factors_a, c) != factors_b:
             continue
-        witness = _assemble_witness(a, b, c, probe_a, g1a, ad_a,
-                                    probe_b, g1b, ad_b)
+        witness = _assemble_witness(a, b, c, probe_a, g1a, probe_b, g1b)
         return IsoResult(kind="Iso", witness=witness)
     return IsoResult(kind="NotIso", field="ad-scaled-similarity")
 

@@ -8,8 +8,9 @@ status first.
 
 An algebra is immutable after construction, so every structural fact
 (Jacobi status, derived and lower central series, center, centralizer of
-G^1, the action of ad on G^1, and the Kirillov-form data owned by
-``kirillov``) is a ``functools.cached_property`` computed at most once.
+G^1, the action of ad on G^1 and its Frobenius decomposition, and the
+Kirillov-form data owned by ``kirillov``) is a
+``functools.cached_property`` computed at most once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .exact import MatrixQ, ONE, ZERO, format_rational, parse_rational
+from .exact import (
+    MatrixQ,
+    ONE,
+    ZERO,
+    format_rational,
+    frobenius_form,
+    parse_rational,
+    scaled_frobenius,
+)
 
 Vector = tuple[Fraction, ...]
 
@@ -394,6 +403,33 @@ class LieAlgebra:
     def ad_on_derived(self) -> tuple[MatrixQ, ...]:
         """Matrices of ad_{X_i} on G^1 in its RREF basis, one per basis vector."""
         return self._ad_on_derived
+
+    @cached_property
+    def _derived_frobenius(self):
+        """(R, frobenius_form(R)) for the first nonzero ad_{X_i} on G^1, or None."""
+        rep = next((m for m in self._ad_on_derived if not m.is_zero()), None)
+        return None if rep is None else (rep, frobenius_form(rep))
+
+    def frobenius_on_derived(self, i: int):
+        """``frobenius_form(ad_on_derived()[i])``, from one decomposition.
+
+        The algebra decomposes R, its first nonzero ad_{X_j} on G^1, once.
+        When ad_{X_i} = lam * R with lam != 0 the form follows exactly by
+        ``scaled_frobenius``; that holds for every nonzero ad_{X_i} when
+        the action span has dimension 1, e.g. for a codimension-1
+        commutative derived ideal.  Any other index raises ValueError.
+        """
+        if self._derived_frobenius is None:
+            raise ValueError("ad acts trivially on the derived ideal")
+        rep, (factors, p) = self._derived_frobenius
+        ad = self._ad_on_derived[i]
+        r, s = next((r, s) for r, row in enumerate(rep.data)
+                    for s, x in enumerate(row) if x != 0)
+        lam = ad[r, s] / rep[r, s]
+        if lam == 0 or ad != rep.scale(lam):
+            raise ValueError(f"ad_{self.basis_names[i]} on the derived ideal is not "
+                             "a nonzero multiple of the first nonzero one")
+        return scaled_frobenius(factors, p, lam)
 
     def ad_commute_check(self, x: Sequence, y: Sequence) -> bool:
         """Whether ad_x and ad_y commute as operators on the derived ideal.

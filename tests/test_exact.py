@@ -182,6 +182,23 @@ def test_scaled_invariant_factors_identity():
         assert direct == derived
 
 
+def test_scaled_frobenius_matches_direct_decomposition(catalog_algebras):
+    from liemd.exact import scaled_frobenius
+    mats = [m for _, g in catalog_algebras for m in g.ad_on_derived()
+            if not m.is_zero()]
+    mats += [
+        MatrixQ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]),
+        MatrixQ([[3, 1, 0, 0], [0, 3, 1, 0], [0, 0, 3, 1], [0, 0, 0, 3]]),
+        MatrixQ.identity(3).scale(2),
+    ]
+    for m in mats:
+        form = frobenius_form(m)
+        for c in (F(2), F(-3, 7), F(-1)):
+            assert frobenius_form(m.scale(c)) == scaled_frobenius(*form, c), (m, c)
+    with pytest.raises(ValueError, match="nonzero"):
+        scaled_frobenius(*frobenius_form(mats[0]), 0)
+
+
 # ---------------------------------------------------------------------------
 # Pfaffian
 # ---------------------------------------------------------------------------

@@ -215,6 +215,35 @@ def test_ad_commute_check_matches_direct_operators():
         assert table.ad_commute_check(x, y) == (ax @ ay == ay @ ax)
 
 
+def test_frobenius_on_derived_scales_one_decomposition():
+    from liemd.catalog import FamilyParams, build
+    from liemd.exact import frobenius_form
+    # G^1 has codimension 1 and is commutative, so after a basis change
+    # every ad_{X_i} on G^1 is a multiple of the first nonzero one
+    g = build("5.4.3", FamilyParams(lambdas=(2,))).change_of_basis(
+        random_invertible(random.Random(17), 5))
+    mats = g.ad_on_derived()
+    assert sum(not m.is_zero() for m in mats) >= 2
+    for i, m in enumerate(mats):
+        if m.is_zero():
+            with pytest.raises(ValueError, match="nonzero multiple"):
+                g.frobenius_on_derived(i)
+        else:
+            assert g.frobenius_on_derived(i) == frobenius_form(m)
+
+
+def test_frobenius_on_derived_refuses_other_operators():
+    # ad_X1 and ad_X2 on G^1 = <X3, X4> are independent; ad_X3 is zero
+    from liemd.exact import frobenius_form
+    table = LieAlgebra.from_brackets(4, [(1, 3, {3: 1}), (2, 3, {4: 1})])
+    assert table.frobenius_on_derived(0) == frobenius_form(table.ad_on_derived()[0])
+    for i in (1, 2):
+        with pytest.raises(ValueError, match="nonzero multiple"):
+            table.frobenius_on_derived(i)
+    with pytest.raises(ValueError, match="trivially"):
+        LieAlgebra.abelian(3).frobenius_on_derived(0)
+
+
 def test_ad_commute_refuses_noncommutative_derived_ideal():
     sl2ish = LieAlgebra.from_brackets(
         3, [(1, 2, {3: 1}), (1, 3, {1: -2}), (2, 3, {2: 2})])
