@@ -30,6 +30,7 @@ from .kirillov import (
     b_form_at,
     md_check,
     nonvanishing_maximality_check,
+    orbit_dim,
     rank_profile,
 )
 from .lie_core import LieAlgebra

@@ -170,7 +170,7 @@ def test_frobenius_random_transform_and_divisibility():
 
 
 def test_scaled_invariant_factors_identity():
-    from liemd.exact import scaled_invariant_factors
+    from liemd.exact import scaled_frobenius, scaled_invariant_factors
     rng = random.Random(73)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -180,6 +180,7 @@ def test_scaled_invariant_factors_identity():
         derived = scaled_invariant_factors(
             [tuple(f) for f in frobenius_form(m)[0]], c)
         assert direct == derived
+        assert frobenius_form(m.scale(c)) == scaled_frobenius(*frobenius_form(m), c)
 
 
 def test_scaled_frobenius_matches_direct_decomposition(catalog_algebras):
