@@ -13,7 +13,6 @@ from .exact import (
     PolyQ,
     Rational,
     UnitPoint,
-    char_poly,
     frobenius_form,
     mat_rank,
     pfaffian4,
@@ -49,7 +48,6 @@ __all__ = [
     "b_form_at",
     "b_form_symbolic",
     "build",
-    "char_poly",
     "default_samples",
     "fingerprint",
     "frobenius_form",

@@ -1,16 +1,18 @@
 """Exact rational linear algebra kernels.
 
 Everything in this module is exact: scalars are arbitrary-precision
-rationals (``fractions.Fraction``), matrix rank is decided by fraction-free
-elimination, characteristic polynomials come from the Faddeev-LeVerrier
-recurrence, and similarity classes are decided through the rational
-(Frobenius) canonical form.  No floating point appears anywhere.
+rationals (``fractions.Fraction``), and one fraction-free elimination,
+``MatrixQ.rref``, is the only row reduction: ranks, kernels, solves,
+inverses and Krylov annihilators all go through it.  Similarity classes
+are decided through the rational (Frobenius) canonical form.  No floating
+point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -179,26 +181,39 @@ class MatrixQ:
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple["MatrixQ", tuple[int, ...]]:
-        """Reduced row-echelon form and the pivot column indices."""
-        m = [list(row) for row in self.data]
+        """Reduced row-echelon form and the pivot column indices.
+
+        Fraction-free Gauss-Jordan: every row is cleared to Python integers,
+        a pivot row r eliminates column c from row i by the two-term update
+        a*row_i - b*row_r followed by division by the row's content, and
+        each pivot row is divided by its pivot once, at the end.  Scaling a
+        row never changes the reduced form, so the result is exact.
+        """
+        m = []
+        for row in self.data:
+            den = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (den // x.denominator) for x in row])
         pivots = []
         r = 0
         for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
+            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
             for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                if i != r and m[i][c]:
+                    g = gcd(m[r][c], m[i][c])
+                    a, b = m[r][c] // g, m[i][c] // g
+                    row = [a * x - b * y for x, y in zip(m[i], m[r])]
+                    content = gcd(*row)
+                    m[i] = [x // content for x in row] if content > 1 else row
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return MatrixQ(m), tuple(pivots)
+        out = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
+        out += [[ZERO] * self.cols for _ in range(self.rows - r)]
+        return MatrixQ(out), tuple(pivots)
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, one vector per free column."""
@@ -240,55 +255,8 @@ class MatrixQ:
 
 
 def mat_rank(m: MatrixQ) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
-
-    The two-term cross-multiplication update divides by the previous pivot,
-    which is an exact division; intermediate entries stay the size of minors
-    instead of blowing up.
-    """
-    a = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    prev = ONE
-    k = 0
-    while k < min(rows, cols):
-        pivot = next(((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j] != 0), None)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-        pk = a[k][k]
-        for i in range(k + 1, rows):
-            aik = a[i][k]
-            for j in range(k + 1, cols):
-                a[i][j] = (pk * a[i][j] - aik * a[k][j]) / prev
-            a[i][k] = ZERO
-        prev = pk
-        k += 1
-    return k
-
-
-def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
-    """Monic characteristic polynomial det(tI - M), coefficients ascending.
-
-    Faddeev-LeVerrier recurrence; the divisions by 1..n are exact over Q.
-    """
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of non-square matrix")
-    n = m.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    aux = MatrixQ.identity(n)
-    for k in range(1, n + 1):
-        mk = m @ aux
-        trace = sum(mk.data[i][i] for i in range(n))
-        coeffs[n - k] = -trace / k
-        if k < n:
-            aux = mk + MatrixQ.identity(n).scale(coeffs[n - k])
-    return tuple(coeffs)
+    """Exact rank: the number of pivots of the reduced row-echelon form."""
+    return len(m.rref()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,37 +358,16 @@ def scaled_invariant_factors(factors: Sequence[Sequence[Fraction]],
 def _vector_annihilator(m: MatrixQ, v: Sequence[Fraction]):
     """Monic minimal polynomial of v under m, with the Krylov chain.
 
-    Incremental Gaussian reduction: each new Krylov vector is reduced
-    against the stored echelon rows while an augmented tail tracks its
-    expression in the original chain, so the first dependency yields the
-    annihilator coefficients directly.
+    One ``rref`` of the Krylov matrix with columns v, mv, ..., m^n v: once
+    m^d v depends on its predecessors so do all later powers, so the pivots
+    are the first d columns, and column d expresses m^d v in the chain.
     """
-    n = m.rows
-    chain = []
-    echelon = []  # (pivot index, reduced row, combination over chain)
-    current = tuple(v)
-    while True:
-        k = len(chain)
-        row = list(current)
-        combo = [ZERO] * (n + 1)
-        combo[k] = ONE
-        for pivot, base, base_combo in echelon:
-            factor = row[pivot]
-            if factor != 0:
-                for idx in range(n):
-                    row[idx] -= factor * base[idx]
-                for idx in range(n + 1):
-                    combo[idx] -= factor * base_combo[idx]
-        pivot = next((idx for idx in range(n) if row[idx] != 0), None)
-        if pivot is None:
-            # sum combo_j m^j v = 0 with combo_k = 1: monic annihilator
-            return poly_trim(combo[: k + 1]), chain
-        inv = 1 / row[pivot]
-        echelon.append((pivot, [x * inv for x in row], [x * inv for x in combo]))
-        chain.append(current)
-        if k >= n:
-            raise AssertionError("annihilator search exceeded dimension")
-        current = m.apply(current)
+    krylov = [tuple(v)]
+    for _ in range(m.rows):
+        krylov.append(m.apply(krylov[-1]))
+    red, pivots = MatrixQ.from_columns(krylov).rref()
+    d = len(pivots)
+    return tuple(-red.data[j][d] for j in range(d)) + (ONE,), krylov[:d]
 
 
 def _maximal_vector(m: MatrixQ):

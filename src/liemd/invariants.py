@@ -235,19 +235,20 @@ def _assemble_witness(a: LieAlgebra, b: LieAlgebra, c: Fraction,
     facs_b, p2 = b.frobenius_on_derived(probe_b)
     if facs_a != facs_b:
         raise AssertionError("scaled operators lost similarity during assembly")
-    s = p2.inverse() @ p1  # s (c ad_a) s^-1 == ad_b
+    # t = p1^-1 p2 satisfies t^-1 (c ad_a) t == ad_b; in the adapted bases
+    # ua, ub (probe vector, then G^1) the witness is ua diag(c, t) ub^-1
+    t = p1.inverse() @ p2
     n = a.dim
     ua = MatrixQ.from_columns(
         [a.basis_vector(probe_a)] + [list(v) for v in g1a.basis()])
     ub = MatrixQ.from_columns(
         [b.basis_vector(probe_b)] + [list(v) for v in g1b.basis()])
     d = [[ZERO] * n for _ in range(n)]
-    d[0][0] = 1 / c
+    d[0][0] = c
     for i in range(n - 1):
         for j in range(n - 1):
-            d[i + 1][j + 1] = s.data[i][j]
-    phi = ub @ MatrixQ(d) @ ua.inverse()  # a-coords -> b-coords
-    witness = phi.inverse()
+            d[i + 1][j + 1] = t.data[i][j]
+    witness = ua @ MatrixQ(d) @ ub.inverse()
     if a.change_of_basis(witness).brackets != b.brackets:
         raise AssertionError("isomorphism witness failed verification")
     return witness

@@ -315,13 +315,6 @@ class _GridEngine:
         self._pf_bound = int(max(
             (sum(abs(c) for _, _, c in terms) for terms in pf_terms), default=0))
 
-    def _to_int_array(self, covectors: list[Covector]) -> np.ndarray:
-        cleared = _clear_denominators(covectors)
-        max_abs = max((abs(x) for row in cleared for x in row), default=0)
-        if self._within_bounds(max_abs):
-            return np.array(cleared, dtype=np.int64)
-        return np.array(cleared, dtype=object)
-
     def _within_bounds(self, max_abs: int) -> bool:
         lin_peak = self._lin_bound * max_abs
         pf_peak = self._pf_bound * max_abs * max_abs
@@ -350,19 +343,6 @@ class _GridEngine:
         ranks[nonzero_entry] = 2
         ranks[rank4] = 4
         return ranks
-
-    def ranks(self, covectors: list[Covector]) -> np.ndarray:
-        """Exact rank (0, 2 or 4) for each covector."""
-        if not covectors:
-            return np.zeros(0, dtype=np.int8)
-        return self.ranks_int(self._to_int_array(covectors))
-
-
-def grid_ranks(g: LieAlgebra, covectors: list[Covector]) -> list[int]:
-    """Exact orbit dimensions for a batch of covectors."""
-    if g.dim == 5:
-        return [int(r) for r in g.kirillov.engine.ranks(covectors)]
-    return [orbit_dim(g, f) for f in covectors]
 
 
 class KirillovData:
@@ -535,7 +515,8 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         f_low, f_high = (grid.covector(g.dim, strata[r][0]) for r in (low, high))
         wl = (f_low, mat_rank(b_form_at(g, f_low)))
         wh = (f_high, mat_rank(b_form_at(g, f_high)))
-        assert wl[1] == low and wh[1] == high, "fast rank path disagrees with Bareiss"
+        if wl[1] != low or wh[1] != high:
+            raise AssertionError("fast rank path disagrees with exact elimination")
         return MDVerdict(kind="NotMD", witness_low=wl, witness_high=wh)
     top = nonzero[-1] if nonzero else 0
     return MDVerdict(

@@ -2,16 +2,19 @@
 
 Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
-and kernel dimension by plain Gaussian elimination with division.  They
-exist so that every certified answer is checked along a second route.
-The matrix helpers at the end are the exception: they are built on the
-library's ``MatrixQ`` and ``frobenius_form``, and tests use them to state
-identities (Cayley-Hamilton, Frobenius blocks, similarity) that the exact
-kernels must satisfy.
+and reduced row-echelon form (hence kernel dimension) by plain Gaussian
+elimination with division.  They exist so that every certified answer is
+checked along a second route.  The helpers at the end are the exception:
+they are built on the library's ``MatrixQ``, ``frobenius_form`` and grid
+rank engine, and tests use them to state identities (Cayley-Hamilton,
+Frobenius blocks, similarity) and to feed covector batches to the engine.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
+
+import numpy as np
 
 from liemd.exact import MatrixQ, frobenius_form, poly_degree, poly_trim
 
@@ -64,15 +67,17 @@ def minor_rank(rows) -> int:
     return rank
 
 
-def kernel_dim(rows) -> int:
-    """Dimension of the right kernel via textbook Gaussian elimination."""
+def rref(rows):
+    """Reduced row-echelon rows and pivot columns, by textbook Gauss-Jordan
+    with division."""
     a = _rows_of(rows)
-    if not a:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    pivot_row = 0
-    pivot_cols = 0
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    pivots = []
     for col in range(n_cols):
+        pivot_row = len(pivots)
+        if pivot_row == n_rows:
+            break
         target = None
         for r in range(pivot_row, n_rows):
             if a[r][col] != 0:
@@ -87,11 +92,16 @@ def kernel_dim(rows) -> int:
             if r != pivot_row and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[pivot_row])]
-        pivot_row += 1
-        pivot_cols += 1
-        if pivot_row == n_rows:
-            break
-    return n_cols - pivot_cols
+        pivots.append(col)
+    return a, tuple(pivots)
+
+
+def kernel_dim(rows) -> int:
+    """Dimension of the right kernel: free columns of the ``rref`` oracle."""
+    a = _rows_of(rows)
+    if not a:
+        return 0
+    return len(a[0]) - len(rref(a)[1])
 
 
 def solve_is_zero_vector(rows, vec) -> bool:
@@ -99,6 +109,26 @@ def solve_is_zero_vector(rows, vec) -> bool:
     a = _rows_of(rows)
     v = [Fraction(x) for x in vec]
     return all(sum(c * x for c, x in zip(row, v)) == 0 for row in a)
+
+
+def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
+    """Monic characteristic polynomial det(tI - M), coefficients ascending.
+
+    Faddeev-LeVerrier recurrence; the divisions by 1..n are exact over Q.
+    """
+    if not m.is_square():
+        raise ValueError("characteristic polynomial of non-square matrix")
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    aux = MatrixQ.identity(n)
+    for k in range(1, n + 1):
+        mk = m @ aux
+        trace = sum(mk.data[i][i] for i in range(n))
+        coeffs[n - k] = -trace / k
+        if k < n:
+            aux = mk + MatrixQ.identity(n).scale(coeffs[n - k])
+    return tuple(coeffs)
 
 
 def poly_eval_matrix(p, m: MatrixQ) -> MatrixQ:
@@ -157,3 +187,22 @@ def skew4_from_upper(b12, b13, b14, b23, b24, b34) -> MatrixQ:
         [-b13, -b23, z, b34],
         [-b14, -b24, -b34, z],
     ])
+
+
+def grid_ranks(g, covectors) -> list[int]:
+    """Orbit dimensions of a batch of ``Fraction`` covectors of a
+    5-dimensional algebra, through its grid rank engine.
+
+    Each covector is cleared to integers, which leaves its rank unchanged;
+    the engine itself moves to exact object arithmetic when its int64
+    bounds are exceeded.
+    """
+    if not covectors:
+        return []
+    cleared = []
+    for cov in covectors:
+        den = lcm(*(x.denominator for x in cov))
+        cleared.append([int(x * den) for x in cov])
+    peak = max(abs(x) for row in cleared for x in row)
+    rows = np.array(cleared, dtype=np.int64 if peak < 2 ** 62 else object)
+    return [int(r) for r in g.kirillov.engine.ranks_int(rows)]

@@ -24,7 +24,6 @@ from liemd.kirillov import (
     GridSpec,
     b_form_at,
     b_form_symbolic,
-    grid_ranks,
     md_check,
     nonvanishing_maximality_check,
     orbit_dim,
@@ -32,7 +31,7 @@ from liemd.kirillov import (
 )
 from liemd.lie_core import LieAlgebra
 from conftest import random_invertible, random_rational
-from oracles import kernel_dim, minor_rank
+from oracles import grid_ranks, kernel_dim, minor_rank
 
 GRID = GridSpec()  # radius 2, 200 extra samples, seed 1
 

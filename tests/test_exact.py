@@ -7,7 +7,6 @@ from liemd.exact import (
     MatrixQ,
     PolyQ,
     UnitPoint,
-    char_poly,
     format_rational,
     frobenius_form,
     mat_rank,
@@ -19,13 +18,16 @@ from liemd.exact import (
     rational_kth_roots,
 )
 from oracles import (
+    char_poly,
     companion,
     det_perm,
     frobenius_block_matrix,
     minor_rank,
     poly_eval_matrix,
+    rref as oracle_rref,
     similar,
     skew4_from_upper,
+    solve_is_zero_vector,
 )
 
 
@@ -91,6 +93,97 @@ def test_rank_transpose_invariant():
         rows = rng.randint(1, 5)
         m = MatrixQ([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
         assert mat_rank(m) == mat_rank(m.transpose())
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel: rref and everything built on it
+# ---------------------------------------------------------------------------
+
+def _kernel_cases():
+    """Seeded matrices of every shape from 1x1 to 6x7: small integers with
+    either sign, denominators up to 10**6, and entries beyond 2**80, with
+    zero rows, zero columns and dependent rows mixed in."""
+    rng = random.Random(59)
+    entries = [
+        lambda: rng.randint(-3, 3),
+        lambda: F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)),
+        lambda: rng.choice([0, rng.randint(-2 ** 90, 2 ** 90)]),
+    ]
+    for trial in range(336):
+        rows, cols = 1 + trial % 6, 1 + (trial // 6) % 7
+        entry = entries[trial % 3]
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 1:
+            m[rng.randrange(rows)] = [0] * cols
+        if trial % 5 == 2:
+            zero_col = rng.randrange(cols)
+            for row in m:
+                row[zero_col] = 0
+        if trial % 3 == 0 and rows >= 3:
+            m[0] = [a - 3 * b for a, b in zip(m[1], m[2])]
+        yield MatrixQ(m)
+
+
+def test_rref_matches_textbook_oracle():
+    for m in _kernel_cases():
+        red, pivots = m.rref()
+        rows, oracle_pivots = oracle_rref(m)
+        assert pivots == oracle_pivots, m
+        assert red == MatrixQ(rows), m
+        assert mat_rank(m) == len(pivots)
+
+
+def test_nullspace_solve_and_inverse_hold_exactly():
+    rng = random.Random(61)
+    for m in _kernel_cases():
+        basis = m.nullspace()
+        assert len(basis) == m.cols - len(oracle_rref(m)[1])
+        for v in basis:
+            assert solve_is_zero_vector(m, v)
+        if basis:
+            assert len(oracle_rref(basis)[1]) == len(basis)
+        x = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m.cols)]
+        rhs = m.apply(x)
+        assert m.apply(m.solve(rhs)) == rhs
+        for k in range(m.rows):
+            e = [F(int(i == k)) for i in range(m.rows)]
+            solution = m.solve(e)
+            augmented = [list(row) + [b] for row, b in zip(m.data, e)]
+            consistent = m.cols not in oracle_rref(augmented)[1]
+            assert (solution is not None) == consistent
+            if consistent:
+                assert m.apply(solution) == tuple(e)
+        if m.is_square():
+            if len(oracle_rref(m)[1]) == m.rows:
+                assert m.inverse() @ m == MatrixQ.identity(m.rows)
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+
+
+@pytest.mark.parametrize("m,v,expected", [
+    # zero vector: the empty chain, annihilator 1
+    (MatrixQ([[2, 1, 0], [0, 2, 0], [0, 0, 3]]), (0, 0, 0), (1,)),
+    # cyclic: e_1 generates under the companion matrix of t^4 - 2t + 3
+    (None, (1, 0, 0, 0), (3, -2, 0, 0, 1)),
+    # derogatory diag(2, 2, 3): minimal polynomial (t-2)(t-3), and t-2 on
+    # the repeated eigenspace
+    (MatrixQ([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), (1, 1, 1), (6, -5, 1)),
+    (MatrixQ([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), (F(1, 2), -1, 0), (-2, 1)),
+])
+def test_vector_annihilator_is_the_krylov_dependency(m, v, expected):
+    from liemd.exact import _vector_annihilator
+    m = companion((3, -2, 0, 0, 1)) if m is None else m
+    v = tuple(F(x) for x in v)
+    ann, chain = _vector_annihilator(m, v)
+    assert ann == tuple(F(c) for c in expected)
+    assert ann[-1] == 1
+    assert all(x == 0 for x in poly_eval_matrix(ann, m).apply(v))
+    powers = [v]
+    for _ in range(m.rows):
+        powers.append(m.apply(powers[-1]))
+    assert len(ann) - 1 == len(oracle_rref(MatrixQ.from_columns(powers))[1])
+    assert chain == powers[:len(ann) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -95,32 +95,26 @@ def test_iso_self_under_random_basis_change():
 
 
 def test_fingerprint_and_iso_decompose_a_presentation_once(monkeypatch):
-    calls = {"on_g": 0, "total": 0, "char_poly": 0}
+    calls = {"on_g": 0, "total": 0}
     canonical = build("5.4.14", FamilyParams(
         lambdas=(2,), mu=F(1), angle=UnitPoint(F(3, 5), F(4, 5))))
     g = canonical.change_of_basis(random_invertible(random.Random(8), 5))
     mats = g.ad_on_derived()
-    frobenius_form, char_poly = exact.frobenius_form, exact.char_poly
+    frobenius_form = exact.frobenius_form
 
     def counted_frobenius(m):
         calls["total"] += 1
         calls["on_g"] += any(m is a for a in mats)
         return frobenius_form(m)
 
-    def counted_char_poly(m):
-        calls["char_poly"] += 1
-        return char_poly(m)
-
     for module in (exact, lie_core, invariants):
         if hasattr(module, "frobenius_form"):
             monkeypatch.setattr(module, "frobenius_form", counted_frobenius)
-        if hasattr(module, "char_poly"):
-            monkeypatch.setattr(module, "char_poly", counted_char_poly)
     fingerprint(g, FAST_GRID)
     result = iso_test_codim1(canonical, g)
     assert result.kind == "Iso"
     assert canonical.change_of_basis(result.witness).brackets == g.brackets
-    assert calls == {"on_g": 1, "total": 2, "char_poly": 0}
+    assert calls == {"on_g": 1, "total": 2}
 
 
 def test_iso_distinguishes_eigenvalue_multiplicities():

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from liemd.kirillov import (
     GridSpec,
     b_form_at,
     b_form_symbolic,
-    grid_ranks,
     md_check,
     nonvanishing_maximality_check,
     orbit_dim,
@@ -22,7 +25,7 @@ from liemd.kirillov import (
 )
 from liemd.lie_core import LieAlgebra, transport_covector
 from conftest import random_invertible, random_rational
-from oracles import minor_rank
+from oracles import grid_ranks, minor_rank
 
 
 def g51():
@@ -244,7 +247,7 @@ def test_integer_chunks_enumerate_the_covectors():
                         grid.covector(n, k)
 
 
-def test_fast_rank_path_matches_bareiss(catalog_samples):
+def test_fast_rank_path_matches_exact_rank(catalog_samples):
     grid = GridSpec(radius=1, extra_random_samples=30, seed=5)
     covs = list(grid.covectors(5))
     for _, _, _, g in catalog_samples[:8]:
@@ -255,7 +258,7 @@ def test_fast_rank_path_matches_bareiss(catalog_samples):
 
 def test_fast_rank_path_survives_int64_overflow():
     # covector entries far beyond the int64 guard force the exact
-    # big-integer fallback, which must agree with Bareiss elimination
+    # big-integer fallback, which must agree with exact elimination
     big = 2 ** 40
     g = build("5.2.2", FamilyParams(lambdas=(2,)))
     covs = [
@@ -305,6 +308,26 @@ def test_md_rejects_candidate_with_mixed_ranks():
     assert 0 < low_r < high_r
     assert minor_rank(b_form_at(g523(), low_f)) == low_r == 2
     assert minor_rank(b_form_at(g523(), high_f)) == high_r == 4
+
+
+def test_md_notmd_recheck_survives_optimized_mode():
+    # python -O strips assert statements; the re-verification of NotMD
+    # witnesses must still raise when the exact rank disagrees with the grid
+    code = "\n".join([
+        "import sys",
+        "from liemd import kirillov",
+        "from liemd.catalog import build",
+        "kirillov.mat_rank = lambda m: 0",
+        "try:",
+        "    kirillov.md_check(build('rejected.5.2.3'))",
+        "    print(sys.flags.optimize, 'accepted')",
+        "except AssertionError as exc:",
+        "    print(sys.flags.optimize, 'raised:', exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.startswith("1 raised: fast rank path disagrees"), done.stdout
 
 
 def test_md_witnesses_are_first_in_enumeration_order():
