@@ -455,14 +455,13 @@ def frobenius_form(m: MatrixQ):
         basis_chains_desc.append([_lift(vec, embed) for vec in chain])
         if len(chain) < mat.rows:
             comp = _invariant_complement(mat, chain)
-            local = MatrixQ.from_columns(comp)
-            images = [mat.apply(w) for w in comp]
-            restricted_cols = []
-            for img in images:
-                coords = local.solve(img)
-                assert coords is not None, "complement is not invariant"
-                restricted_cols.append(coords)
-            restricted = MatrixQ.from_columns(restricted_cols)
+            k = len(comp)
+            # one rref of [comp | images] gives every image's coordinates
+            # over comp, and a pivot past column k an image outside its span
+            red, pivots = MatrixQ.from_columns(comp + [mat.apply(w) for w in comp]).rref()
+            if pivots != tuple(range(k)):
+                raise AssertionError("complement is not invariant")
+            restricted = MatrixQ([row[k:] for row in red.data[:k]])
             decompose(restricted, [_lift(w, embed) for w in comp])
 
     def _lift(vec, embed):

@@ -262,7 +262,9 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
     scalar (rescaling the complement vector).  Candidate scalars come from
     ratios of characteristic coefficients: the degree n-k coefficient
     scales by c^k, so the first nonzero pair admits finitely many rational
-    candidates via exact k-th root extraction.
+    candidates via exact k-th root extraction.  A nonzero pair exists:
+    G^1 = [X, G^1] for the probe X, so ad_X is invertible on G^1 and its
+    constant characteristic coefficient is nonzero.
     """
     if a.dim != b.dim:
         return IsoResult(kind="NotIso", field="dim")
@@ -279,17 +281,10 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
     support_b = [j for j, x in enumerate(lower_b, start=1) if x != 0]
     if support_a != support_b:
         return IsoResult(kind="NotIso", field="char-poly support")
-    if not support_a:
-        # unreachable for valid inputs: a codim-1 commutative derived ideal
-        # is the image of the probe's ad, which is therefore invertible;
-        # kept as a defensive branch (Jordan type is scale-invariant)
-        candidates = [ONE]
-    else:
-        k0 = support_a[0]
-        candidates = rational_kth_roots(
-            lower_b[k0 - 1] / lower_a[k0 - 1], k0)
-        if not candidates:
-            return IsoResult(kind="NotIso", field="no rational scaling factor")
+    k0 = support_a[0]
+    candidates = rational_kth_roots(lower_b[k0 - 1] / lower_a[k0 - 1], k0)
+    if not candidates:
+        return IsoResult(kind="NotIso", field="no rational scaling factor")
     for c in candidates:
         if any(lower_a[j - 1] * c ** j != lower_b[j - 1] for j in range(1, m + 1)):
             continue

@@ -20,7 +20,6 @@ are built (through ``GridSpec.covector``) only for the witnesses reported.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,9 +75,11 @@ class GridSpec:
     rationals with |numerator| <= 9 and denominator <= 9.  "First witness"
     always refers to this enumeration order.
 
-    Scans read the grid as int64 rows through ``integer_chunks``; exact
-    covectors are built only on request, through ``covector``.  The random
-    tail is drawn and cleared to integers once per grid and dimension.
+    The grid is stored as integers only: box points are the digits of
+    their index, and the random tail is drawn once per grid and dimension
+    into int64 numerator and denominator arrays.  Scans read int64 rows
+    through ``integer_chunks``; ``covector`` is the one place that builds
+    exact ``Fraction`` covectors.
     """
 
     radius: int = 2
@@ -91,17 +92,8 @@ class GridSpec:
         if self.extra_random_samples < 0:
             raise ValueError("extra sample count must be non-negative")
 
-    def integer_points(self, n: int) -> Iterator[Covector]:
-        values = range(-self.radius, self.radius + 1)
-        for point in itertools.product(values, repeat=n):
-            yield tuple(Fraction(x) for x in point)
-
-    def random_points(self, n: int) -> Iterator[Covector]:
-        yield from self._tail(n)[0]
-
     def covectors(self, n: int) -> Iterator[Covector]:
-        yield from self.integer_points(n)
-        yield from self.random_points(n)
+        return (self.covector(n, k) for k in range(self.count(n)))
 
     def count(self, n: int) -> int:
         return self._box_size(n) + self.extra_random_samples
@@ -112,7 +104,8 @@ class GridSpec:
             raise IndexError(f"grid index {k} out of range")
         box = self._box_size(n)
         if k >= box:
-            return self._tail(n)[0][k - box]
+            num, den = self._tail(n)
+            return tuple(map(Fraction, num[k - box].tolist(), den[k - box].tolist()))
         base = 2 * self.radius + 1
         coords = []
         for _ in range(n):
@@ -137,7 +130,7 @@ class GridSpec:
             if start < box:
                 parts.append(self._box_rows(n, start, min(stop, box)))
             if stop > box:
-                parts.append(self._tail(n)[1][max(start, box) - box:stop - box])
+                parts.append(self._tail_rows(n, max(start, box) - box, stop - box))
             yield start, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _box_size(self, n: int) -> int:
@@ -151,22 +144,31 @@ class GridSpec:
             index, rows[:, j] = np.divmod(index, 2 * self.radius + 1)
         return rows - self.radius
 
+    def _tail_rows(self, n: int, start: int, stop: int) -> np.ndarray:
+        """Tail points start..stop-1 (counted from the tail's first point),
+        each scaled by the lcm of its reduced denominators."""
+        num, den = (a[start:stop] for a in self._tail(n))
+        lowest = den // np.gcd(num, den)
+        rows = num * np.lcm.reduce(lowest, axis=1, keepdims=True, initial=1)
+        rows //= den  # exact: the lcm is a multiple of each reduced denominator
+        return rows
+
     @cached_property
-    def _tails(self) -> dict[int, tuple[tuple[Covector, ...], np.ndarray]]:
+    def _tails(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         return {}
 
-    def _tail(self, n: int) -> tuple[tuple[Covector, ...], np.ndarray]:
-        """The random tail as exact covectors and as cleared int64 rows."""
+    def _tail(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The random tail's numerators and denominators: read-only int64
+        views of one flat array of the draws, which alternate between them."""
         tail = self._tails.get(n)
         if tail is None:
             rng = random.Random(self.seed)
-            exact = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                                for _ in range(n))
-                          for _ in range(self.extra_random_samples))
-            cleared = np.array(_clear_denominators(exact),
-                               dtype=np.int64).reshape(len(exact), n)
-            cleared.setflags(write=False)
-            tail = self._tails[n] = (exact, cleared)
+            size = self.extra_random_samples * n
+            draws = np.fromiter((rng.randint(low, 9) for _ in range(size) for low in (-9, 1)),
+                                dtype=np.int64, count=2 * size)
+            draws.setflags(write=False)
+            tail = self._tails[n] = tuple(draws[i::2].reshape(self.extra_random_samples, n)
+                                          for i in (0, 1))
         return tail
 
 
@@ -501,10 +503,10 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
 
     ell = form.common_linear_factor()
     if ell is not None:
-        # B(F) = ell(F) * L for a constant skew matrix L, so the rank takes
-        # one nonzero value exactly on {ell != 0}
-        point = next(f for f in grid.covectors(g.dim) if ell.evaluate(f) != 0)
-        max_dim = mat_rank(b_form_at(g, point))
+        # B(F) = ell(F) * L for a constant skew matrix L, so the rank is
+        # rank L on {ell != 0}, which holds e_k for each f_k term of ell
+        k = next(expo.index(1) for expo in ell.terms)
+        max_dim = mat_rank(b_form_at(g, g.basis_vector(k)))
         return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
 
     ranks = g.kirillov.rank_vector(grid)

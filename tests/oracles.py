@@ -2,16 +2,18 @@
 
 Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
-and reduced row-echelon form (hence kernel dimension) by plain Gaussian
-elimination with division.  They exist so that every certified answer is
-checked along a second route.  The helpers at the end are the exception:
+reduced row-echelon form (hence kernel dimension) by plain Gaussian
+elimination with division, and the covector grid enumerated point by point
+as ``Fraction``s.  They exist so that every certified answer is checked
+along a second route.  The helpers at the end are the exception:
 they are built on the library's ``MatrixQ``, ``frobenius_form`` and grid
 rank engine, and tests use them to state identities (Cayley-Hamilton,
 Frobenius blocks, similarity) and to feed covector batches to the engine.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import lcm
 
 import numpy as np
@@ -109,6 +111,22 @@ def solve_is_zero_vector(rows, vec) -> bool:
     a = _rows_of(rows)
     v = [Fraction(x) for x in vec]
     return all(sum(c * x for c, x in zip(row, v)) == 0 for row in a)
+
+
+def grid_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:
+    """Every covector of a ``GridSpec`` in enumeration order, as ``Fraction``s.
+
+    The box {-radius..radius}^n by ``itertools.product`` (first coordinate
+    slowest), then the seeded tail: for each coordinate of each sample a
+    numerator in -9..9 and a denominator in 1..9, drawn in that order.
+    """
+    box = product(range(-grid.radius, grid.radius + 1), repeat=n)
+    out = [tuple(Fraction(x) for x in point) for point in box]
+    rng = random.Random(grid.seed)
+    for _ in range(grid.extra_random_samples):
+        out.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(n)))
+    return out
 
 
 def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:

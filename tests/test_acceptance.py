@@ -31,7 +31,7 @@ from liemd.kirillov import (
 )
 from liemd.lie_core import LieAlgebra
 from conftest import random_invertible, random_rational
-from oracles import grid_ranks, kernel_dim, minor_rank
+from oracles import grid_covectors, grid_ranks, kernel_dim, minor_rank
 
 GRID = GridSpec()  # radius 2, 200 extra samples, seed 1
 
@@ -109,7 +109,7 @@ def test_criterion_03_codim1_rank_dichotomy():
     rng = random.Random(303)
     problems = []
     structural = {"pfaffian-vanishing", "zero-form"}
-    covectors = list(GRID.integer_points(5))
+    covectors = grid_covectors(GridSpec(radius=GRID.radius, extra_random_samples=0), 5)
     for trial in range(50):
         m = MatrixQ([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
                      for _ in range(4)])

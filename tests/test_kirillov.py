@@ -25,7 +25,7 @@ from liemd.kirillov import (
 )
 from liemd.lie_core import LieAlgebra, transport_covector
 from conftest import random_invertible, random_rational
-from oracles import grid_ranks, minor_rank
+from oracles import grid_covectors, grid_ranks, minor_rank
 
 
 def g51():
@@ -204,18 +204,28 @@ def test_grid_is_deterministic():
 
 def test_grid_enumerates_lexicographically():
     spec = GridSpec(radius=1, extra_random_samples=0)
-    pts = list(spec.integer_points(2))
+    pts = grid_covectors(spec, 2)
     assert pts[0] == (-1, -1)
     assert pts[1] == (-1, 0)
     assert pts[-1] == (1, 1)
+    assert len(pts) == spec.count(2) == 9
+    assert list(spec.covectors(2)) == pts
+    assert [spec.covector(2, k) for k in range(spec.count(2))] == pts
+    # box points are integral, so the integer rows are the covectors
+    rows = [tuple(row) for _, chunk in spec.integer_chunks(2) for row in chunk.tolist()]
+    assert rows == pts
 
 
 def test_grid_random_tail_respects_bounds():
     spec = GridSpec(radius=1, extra_random_samples=200, seed=11)
-    for cov in spec.random_points(5):
+    box = 3 ** 5
+    tail = [spec.covector(5, k) for k in range(box, spec.count(5))]
+    assert len(tail) == 200
+    for cov in tail:
         for x in cov:
             assert abs(x.numerator) <= 9
             assert 1 <= x.denominator <= 9
+    assert tail == grid_covectors(spec, 5)[box:]
 
 
 def test_grid_rejects_bad_parameters():
@@ -230,7 +240,8 @@ def test_integer_chunks_enumerate_the_covectors():
         for n in (2, 3, 5):
             for samples in (0, 20):
                 grid = GridSpec(radius=radius, extra_random_samples=samples, seed=4)
-                exact = list(grid.covectors(n))
+                exact = grid_covectors(grid, n)
+                assert list(grid.covectors(n)) == exact
                 rows = []
                 for start, chunk in grid.integer_chunks(n):
                     assert start == len(rows) and chunk.dtype == np.int64
@@ -496,6 +507,35 @@ def test_rank_vector_peak_memory_is_flat_in_the_radius():
 
     # radius 6 has 22x the points of radius 3
     assert peak(6) <= 2 * peak(3)
+
+
+def test_random_tail_is_held_as_integer_draws():
+    grid = GridSpec(radius=1, extra_random_samples=20000)
+    tracemalloc.start()
+    try:
+        list(grid.integer_chunks(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 100,000 tail entries: the int64 draws and their cleared rows take
+    # under 3 MB; one Fraction per entry takes several times that
+    assert peak < 6 * 10 ** 6
+
+
+@pytest.mark.parametrize("make, max_dim, proof", [
+    (lambda: LieAlgebra.abelian(5), 0, "zero-form"),
+    (lambda: build("5.2.1"), 2, "pfaffian-vanishing"),
+    (g51, 4, "common-factor"),
+])
+def test_structural_verdicts_read_no_grid(make, max_dim, proof, monkeypatch):
+    def untouched(*args):
+        raise AssertionError("grid read")
+
+    for name in ("covector", "covectors", "integer_chunks"):
+        monkeypatch.setattr(GridSpec, name, untouched)
+    monkeypatch.setattr(kirillov.KirillovData, "rank_vector", untouched)
+    verdict = md_check(make())
+    assert (verdict.kind, verdict.max_dim, verdict.proof) == ("IsMD", max_dim, proof)
 
 
 def test_maximality_counterexample_for_discrepancy_family():
