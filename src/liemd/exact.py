@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -86,12 +87,18 @@ class UnitPoint:
 # dense rational matrices
 # ---------------------------------------------------------------------------
 
+def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """(d, [d*x for x in values]) for the least d > 0 that makes them integers."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 class MatrixQ:
     """Immutable dense matrix over the rationals."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence[Scalar]]):
+    def __init__(self, data: Sequence[Sequence[Scalar]], cols: int = 0):
         rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
                      for row in data)
         if rows:
@@ -99,7 +106,7 @@ class MatrixQ:
             if any(len(r) != width for r in rows):
                 raise ValueError("ragged rows")
         else:
-            width = 0
+            width = cols  # the width of a matrix with no rows
         self.rows = len(rows)
         self.cols = width
         self.data = rows
@@ -109,7 +116,7 @@ class MatrixQ:
     @staticmethod
     def zero(rows: int, cols: int | None = None) -> "MatrixQ":
         cols = rows if cols is None else cols
-        return MatrixQ([[ZERO] * cols for _ in range(rows)])
+        return MatrixQ([[ZERO] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "MatrixQ":
@@ -161,15 +168,20 @@ class MatrixQ:
         return MatrixQ([[f * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
+        """Integer dot products of cleared rows and columns, one Fraction per entry."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = list(zip(*other.data))
-        return MatrixQ([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data])
+        cols = [clear_denominators(other.column(j)) for j in range(other.cols)]
+        return MatrixQ([[Fraction(sum(map(mul, row, col)), d_row * d_col) for d_col, col in cols]
+                        for d_row, row in map(clear_denominators, self.data)], other.cols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Fraction, ...]:
+        """self @ vec, fraction-free like ``__matmul__``."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, vec)) for row in self.data)
+        d_vec, v = clear_denominators(vec)
+        return tuple(Fraction(sum(map(mul, row, v)), d_row * d_vec)
+                     for d_row, row in map(clear_denominators, self.data))
 
     def _same_shape(self, other: "MatrixQ"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -189,10 +201,7 @@ class MatrixQ:
         each pivot row is divided by its pivot once, at the end.  Scaling a
         row never changes the reduced form, so the result is exact.
         """
-        m = []
-        for row in self.data:
-            den = lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (den // x.denominator) for x in row])
+        m = [clear_denominators(row)[1] for row in self.data]
         pivots = []
         r = 0
         for c in range(self.cols):

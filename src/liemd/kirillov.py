@@ -50,6 +50,10 @@ _INT64_SAFE = 2 ** 62
 # memory does not grow with the radius
 GRID_CHUNK = 1 << 14
 
+# most points (box plus random tail, in dimension 5) a grid may have; the
+# rank vector holds one byte per point and a scan visits every one
+MAX_GRID_POINTS = 10 ** 8
+
 # the random tail draws numerators from -9..9 and denominators from 1..9, so
 # a cleared tail entry is at most 9 * lcm(1..9)
 _TAIL_ENTRY_BOUND = 9 * lcm(*range(1, 10))
@@ -91,6 +95,9 @@ class GridSpec:
             raise ValueError("grid radius must be a positive integer")
         if self.extra_random_samples < 0:
             raise ValueError("extra sample count must be non-negative")
+        if self.count(5) > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {self.count(5)} points in dimension 5, "
+                             f"more than the limit of {MAX_GRID_POINTS}")
 
     def covectors(self, n: int) -> Iterator[Covector]:
         return (self.covector(n, k) for k in range(self.count(n)))

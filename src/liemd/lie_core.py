@@ -17,12 +17,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     MatrixQ,
     ONE,
     ZERO,
+    clear_denominators,
     format_rational,
     frobenius_form,
     parse_rational,
@@ -30,6 +33,10 @@ from .exact import (
 )
 
 Vector = tuple[Fraction, ...]
+
+# largest dimension an algebra document may declare; the tool works in
+# dimension 5, and a huge "dim" would build its basis names before any check
+MAX_DOCUMENT_DIM = 32
 
 
 def _q(value) -> Fraction:
@@ -435,21 +442,22 @@ class LieAlgebra:
         """Whether ad_x and ad_y commute as operators on the derived ideal.
 
         Refuses to run when the derived ideal is not commutative, since the
-        guarantee only holds under that hypothesis.
+        guarantee only holds under that hypothesis.  Works on integers: with
+        D clearing every ad_{X_i} on G^1 and d_x clearing x, the matrix
+        sum_i (d_x x_i) (D ad_{X_i}) is D d_x ad_x, and positive multiples
+        commute exactly when ad_x and ad_y do.
         """
         if not self._derived_ideal_commutative:
             raise ValueError("derived ideal is not commutative")
-        ax, ay = self._ad_on_derived_of(x), self._ad_on_derived_of(y)
-        return ax @ ay == ay @ ax
-
-    def _ad_on_derived_of(self, x: Sequence) -> MatrixQ:
-        """ad_x on G^1 as sum_i x_i ad_{X_i}; ad is linear in x."""
-        size = self._derived_ideal.dim
-        total = MatrixQ.zero(size, size)
-        for c, a in zip(_as_vector(x, self.dim), self._ad_on_derived):
-            if c != 0:
-                total = total + a.scale(c)
-        return total
+        mats = [m.data for m in self._ad_on_derived]
+        den = lcm(*(q.denominator for m in mats for row in m for q in row))
+        # stack[r][k][i] is entry (r, k) of D ad_{X_i}
+        stack = [[[q.numerator * (den // q.denominator) for q in entry] for entry in zip(*rows)]
+                 for rows in zip(*mats)]
+        cx, cy = (clear_denominators(_as_vector(v, self.dim))[1] for v in (x, y))
+        ax = [[sum(map(mul, cx, entry)) for entry in row] for row in stack]
+        ay = [[sum(map(mul, cy, entry)) for entry in row] for row in stack]
+        return _int_product(ax, ay) == _int_product(ay, ax)
 
     @cached_property
     def kirillov(self):
@@ -512,8 +520,8 @@ class LieAlgebra:
         if "dim" not in payload or "brackets" not in payload:
             raise ValueError("algebra document requires 'dim' and 'brackets'")
         dim = payload["dim"]
-        if not isinstance(dim, int) or dim < 0:
-            raise ValueError("'dim' must be a non-negative integer")
+        if type(dim) is not int or not 0 <= dim <= MAX_DOCUMENT_DIM:
+            raise ValueError(f"'dim' must be an integer from 0 to {MAX_DOCUMENT_DIM}")
         names = payload.get("basis")
         if names is not None:
             if (not isinstance(names, list)
@@ -534,12 +542,16 @@ class LieAlgebra:
                 coeffs = item["coeffs"]
             except KeyError as exc:
                 raise ValueError(f"bracket #{pos} is missing field {exc}") from exc
-            if not isinstance(i, int) or not isinstance(j, int) or not i < j:
+            if type(i) is not int or type(j) is not int or not i < j:
                 raise ValueError(f"bracket #{pos} requires integer indices with i < j")
             if not isinstance(coeffs, Mapping):
                 raise ValueError(f"bracket #{pos} coeffs must be an object")
             entries.append((i, j, coeffs))
         return LieAlgebra.from_brackets(dim, entries, names)
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def transport_covector(coords: Sequence, p: MatrixQ) -> Vector:

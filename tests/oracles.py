@@ -2,7 +2,7 @@
 
 Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
-reduced row-echelon form (hence kernel dimension) by plain Gaussian
+matrix products by the triple loop, reduced row-echelon form (hence kernel dimension) by plain Gaussian
 elimination with division, and the covector grid enumerated point by point
 as ``Fraction``s.  They exist so that every certified answer is checked
 along a second route.  The helpers at the end are the exception:
@@ -111,6 +111,21 @@ def solve_is_zero_vector(rows, vec) -> bool:
     a = _rows_of(rows)
     v = [Fraction(x) for x in vec]
     return all(sum(c * x for c, x in zip(row, v)) == 0 for row in a)
+
+
+def matmul(a, b, width: int) -> list[list[Fraction]]:
+    """a @ b by the textbook triple loop over ``Fraction``s; ``width`` is the
+    number of columns of b, which its rows cannot tell when it has none."""
+    a, b = _rows_of(a), _rows_of(b)
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(width):
+            total = Fraction(0)
+            for k in range(len(row)):
+                total += row[k] * b[k][j]
+            out[-1].append(total)
+    return out
 
 
 def grid_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:

@@ -91,6 +91,30 @@ def test_check_bad_grid_flags_exit2(g51_file, capsys):
     assert main(["check", g51_file, "--grid-radius", "0"]) == 2
 
 
+def test_huge_grids_fail_fast_exit2(g51_file, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("grid points were built")
+    for name in ("integer_chunks", "covector", "_tail", "_box_rows", "_tail_rows"):
+        monkeypatch.setattr(GridSpec, name, built)
+    monkeypatch.setattr(kirillov.KirillovData, "rank_vector", built)
+    assert main(["check", g51_file, "--grid-radius", "1000"]) == 2
+    assert f"grid has {2001 ** 5 + 200} points" in capsys.readouterr().err
+    assert main(["check", g51_file, "--samples", str(10 ** 12)]) == 2
+    assert f"grid has {5 ** 5 + 10 ** 12} points" in capsys.readouterr().err
+    assert main(["verify-catalog", "--grid-radius", "30"]) == 2
+    assert f"grid has {61 ** 5 + 200} points" in capsys.readouterr().err
+
+
+def test_check_hostile_dimension_and_booleans_exit2(tmp_path, capsys):
+    for name, doc in (("huge", {"dim": 10 ** 9, "brackets": []}),
+                      ("bool-dim", {"dim": True, "brackets": []})):
+        assert main(["check", write_json(tmp_path / f"{name}.json", doc)]) == 2
+        assert "'dim' must be an integer from 0 to 32" in capsys.readouterr().err
+    doc = {"dim": 3, "brackets": [{"i": True, "j": 2, "coeffs": {"3": 1}}]}
+    assert main(["check", write_json(tmp_path / "bool-i.json", doc)]) == 2
+    assert "integer indices" in capsys.readouterr().err
+
+
 def test_check_jacobi_failure_exit3(tmp_path, capsys):
     bad = {"dim": 3, "brackets": [
         {"i": 1, "j": 2, "coeffs": {"1": 1}},

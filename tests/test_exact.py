@@ -22,6 +22,7 @@ from oracles import (
     companion,
     det_perm,
     frobenius_block_matrix,
+    matmul as oracle_matmul,
     minor_rank,
     poly_eval_matrix,
     rref as oracle_rref,
@@ -93,6 +94,48 @@ def test_rank_transpose_invariant():
         rows = rng.randint(1, 5)
         m = MatrixQ([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
         assert mat_rank(m) == mat_rank(m.transpose())
+
+
+# ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+def test_products_match_the_triple_loop_oracle():
+    """Every shape with 0 to 4 rows, inner dimension and columns, with small
+    integers, large denominators (given with either sign) and entries beyond
+    2**80, some rows zeroed."""
+    rng = random.Random(67)
+    entries = [
+        lambda: rng.randint(-3, 3),
+        lambda: F(rng.randint(-10 ** 6, 10 ** 6), rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)),
+        lambda: F(rng.randint(-2 ** 90, 2 ** 90), rng.randint(1, 2 ** 40)),
+    ]
+    for trial in range(375):
+        n, k, m = trial % 5, (trial // 5) % 5, (trial // 25) % 5
+        entry = entries[trial % 3]
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        b = [[entry() for _ in range(m)] for _ in range(k)]
+        if trial % 4 == 1 and n:
+            a[rng.randrange(n)] = [0] * k
+        v = [entry() for _ in range(k)]
+        product = MatrixQ(a, k) @ MatrixQ(b, m)
+        assert (product.rows, product.cols) == (n, m)
+        assert product == MatrixQ(oracle_matmul(a, b, m), m)
+        image = MatrixQ(a, k).apply(v)
+        assert image == tuple(row[0] for row in oracle_matmul(a, [[x] for x in v], 1))
+        assert all(type(x) is F for x in image + tuple(x for row in product.data for x in row))
+
+
+def test_product_with_empty_inner_dimension_is_zero():
+    product = MatrixQ.zero(2, 0) @ MatrixQ.zero(0, 3)
+    assert (product.rows, product.cols) == (2, 3)
+    assert product == MatrixQ.zero(2, 3)
+
+
+def test_apply_with_no_columns_gives_fraction_zeros():
+    image = MatrixQ.zero(3, 0).apply(())
+    assert image == (0, 0, 0)
+    assert all(type(x) is F for x in image)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,13 @@ def test_grid_rejects_bad_parameters():
         GridSpec(radius=0)
     with pytest.raises(ValueError):
         GridSpec(extra_random_samples=-1)
+    # the point limit is checked on the count alone, before anything is drawn
+    radius = 19  # the largest radius whose dimension-5 box is under the limit
+    assert GridSpec(radius=radius, extra_random_samples=0).count(5) <= kirillov.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=str(41 ** 5 + 200)):
+        GridSpec(radius=radius + 1)
+    with pytest.raises(ValueError, match="points in dimension 5"):
+        GridSpec(radius=1, extra_random_samples=kirillov.MAX_GRID_POINTS)
 
 
 def test_integer_chunks_enumerate_the_covectors():

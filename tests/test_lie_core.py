@@ -213,6 +213,27 @@ def test_ad_commute_check_matches_direct_operators():
         ax = table.ad_restricted(x, g1).matrix
         ay = table.ad_restricted(y, g1).matrix
         assert table.ad_commute_check(x, y) == (ax @ ay == ay @ ax)
+    # after basis changes the ad_{X_i} on G^1 have non-integer entries, so
+    # the check clears them over a common denominator; rejected.3.2a is a
+    # Lie algebra with two independent ad operators on G^1 (they commute),
+    # the moved table is not (generic pairs do not)
+    from liemd.catalog import FamilyParams, build
+    moved = [build("rejected.3.2a", FamilyParams()).change_of_basis(random_invertible(rng, 5)),
+             table.change_of_basis(random_invertible(rng, 4))]
+    for g, lie in zip(moved, (True, False)):
+        g1 = g.derived_ideal()
+        assert any(q.denominator != 1 for m in g.ad_on_derived() for row in m.data for q in row)
+        outcomes = set()
+        for trial in range(30):
+            x = [random_rational(rng) for _ in range(g.dim)]
+            y = [random_rational(rng) for _ in range(g.dim)]
+            if trial % 3 == 0:  # ad_x commutes with its multiples
+                y = [F(-3, 2) * c for c in x]
+            ax = g.ad_restricted(x, g1).matrix
+            ay = g.ad_restricted(y, g1).matrix
+            outcomes.add(ax @ ay == ay @ ax)
+            assert g.ad_commute_check(x, y) == (ax @ ay == ay @ ax)
+        assert outcomes == ({True} if lie else {True, False})
 
 
 def test_frobenius_on_derived_scales_one_decomposition():
@@ -342,3 +363,18 @@ def test_from_dict_rejects_bad_bracket_entries():
             {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {}, "x": 0}]})
     with pytest.raises(ValueError, match="requires 'dim'"):
         LieAlgebra.from_dict({"brackets": []})
+
+
+def test_from_dict_caps_the_dimension():
+    assert LieAlgebra.from_dict({"dim": 32, "brackets": []}).dim == 32
+    for dim in (33, 10 ** 9, -1):
+        with pytest.raises(ValueError, match="from 0 to 32"):
+            LieAlgebra.from_dict({"dim": dim, "brackets": []})
+
+
+def test_from_dict_rejects_boolean_integers():
+    with pytest.raises(ValueError, match="'dim'"):
+        LieAlgebra.from_dict({"dim": True, "brackets": []})
+    for i, j in ((True, 2), (1, True), (False, True)):
+        with pytest.raises(ValueError, match="integer indices"):
+            LieAlgebra.from_dict({"dim": 3, "brackets": [{"i": i, "j": j, "coeffs": {}}]})
