@@ -2,13 +2,14 @@
 
 Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
-matrix products by the triple loop, reduced row-echelon form (hence kernel dimension) by plain Gaussian
-elimination with division, and the covector grid enumerated point by point
-as ``Fraction``s.  They exist so that every certified answer is checked
-along a second route.  The helpers at the end are the exception:
-they are built on the library's ``MatrixQ``, ``frobenius_form`` and grid
-rank engine, and tests use them to state identities (Cayley-Hamilton,
-Frobenius blocks, similarity) and to feed covector batches to the engine.
+matrix products by the triple loop, reduced row-echelon form (hence kernel
+dimension) by plain Gaussian elimination with division, and the covector
+grid enumerated point by point as ``Fraction``s.  They exist so that every
+certified answer is checked along a second route.  The helpers at the end
+are the exception: they are built on the library's ``MatrixQ``,
+``frobenius_form`` and grid rank engine, and tests use them to state
+identities (Cayley-Hamilton, Frobenius blocks, similarity) and to feed
+covector batches to the engine.
 """
 
 import random
