@@ -125,15 +125,17 @@ class MatrixQ:
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]]) -> "MatrixQ":
         n = len(columns[0])
-        return MatrixQ([[columns[j][i] for j in range(len(columns))] for i in range(n)])
+        return MatrixQ([[columns[j][i] for j in range(len(columns))] for i in range(n)],
+                       len(columns))
 
     # -- basics --------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, MatrixQ) and self.data == other.data
+        return (isinstance(other, MatrixQ) and self.cols == other.cols
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.cols, self.data))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -153,19 +155,12 @@ class MatrixQ:
         return self.rows == self.cols
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return MatrixQ([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
+                       self.rows)
 
     def scale(self, factor: Scalar) -> "MatrixQ":
         f = Fraction(factor)
-        return MatrixQ([[f * x for x in row] for row in self.data])
+        return MatrixQ([[f * x for x in row] for row in self.data], self.cols)
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         """Integer dot products of cleared rows and columns, one Fraction per entry."""
@@ -182,10 +177,6 @@ class MatrixQ:
         d_vec, v = clear_denominators(vec)
         return tuple(Fraction(sum(map(mul, row, v)), d_row * d_vec)
                      for d_row, row in map(clear_denominators, self.data))
-
-    def _same_shape(self, other: "MatrixQ"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -222,7 +213,7 @@ class MatrixQ:
                 break
         out = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
         out += [[ZERO] * self.cols for _ in range(self.rows - r)]
-        return MatrixQ(out), tuple(pivots)
+        return MatrixQ(out, self.cols), tuple(pivots)
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, one vector per free column."""

@@ -92,21 +92,11 @@ def _ray_record(factors: Factors):
 
 def _invariant_line_record(g: LieAlgebra):
     """Summary of L = [C_G(G^1), G] ∩ G^1 when it is an invariant line."""
-    g1 = g.derived_ideal()
-    cz = g.derived_centralizer()
-    vectors = []
-    for u in cz.basis():
-        for j in range(g.dim):
-            w = g.bracket_with_basis(u, j)
-            if any(x != 0 for x in w):
-                vectors.append(w)
-    line = Subspace(g.dim, vectors).intersection(g1)
+    line = g.span_of_brackets(g.derived_centralizer(), Subspace.full(g.dim)).intersection(
+        g.derived_ideal())
     if line.dim != 1:
         return None
-    v = line.basis()[0]
-    trivial = all(
-        all(x == 0 for x in g.bracket_with_basis(v, i)) for i in range(g.dim))
-    return (1, trivial)
+    return (1, g.center().contains(line.basis()[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ vector per grid.  It is reached as ``g.kirillov`` and built once per algebra.
 Grid scans are integer-native: ``GridSpec.integer_chunks`` yields the grid
 as int64 rows a bounded chunk at a time, and exact ``Fraction`` covectors
 are built (through ``GridSpec.covector``) only for the witnesses reported.
+Each grid is scanned once per algebra: the MD verdict, the rank profile
+and the maximality check all read its cached rank vector.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .exact import (
     MatrixQ,
     PolyQ,
     ZERO,
+    clear_denominators,
     format_vector,
     mat_rank,
     parse_vector,
@@ -53,10 +55,6 @@ GRID_CHUNK = 1 << 14
 # most points (box plus random tail, in dimension 5) a grid may have; the
 # rank vector holds one byte per point and a scan visits every one
 MAX_GRID_POINTS = 10 ** 8
-
-# the random tail draws numerators from -9..9 and denominators from 1..9, so
-# a cleared tail entry is at most 9 * lcm(1..9)
-_TAIL_ENTRY_BOUND = 9 * lcm(*range(1, 10))
 
 
 def as_covector(values: Sequence, dim: int) -> Covector:
@@ -125,9 +123,8 @@ class GridSpec:
 
         Row i of a chunk is a positive multiple of ``covector(n, start + i)``
         (box points are already integral, tail points have their
-        denominators cleared), which leaves every rank and every vanishing
-        test unchanged.  Tail entries are at most ``_TAIL_ENTRY_BOUND``, far
-        below the int64 guard.
+        denominators cleared), which leaves every rank unchanged.  The rank
+        engine is the one reader: every other scan reads its cached vector.
         """
         box = self._box_size(n)
         total = self.count(n)
@@ -277,15 +274,6 @@ def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
 # fast exact rank evaluation over grids
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (positive), to ints."""
-    out = []
-    for row in rows:
-        mult = lcm(*(c.denominator for c in row)) if row else 1
-        out.append([int(c * mult) for c in row])
-    return out
-
-
 class _GridEngine:
     """Vectorized exact rank classification for dimension-5 algebras.
 
@@ -307,17 +295,14 @@ class _GridEngine:
                 for expo, c in poly.terms.items():
                     coeffs[expo.index(1)] = c
                 linear_rows.append(coeffs)
-        self.linear = np.array(_clear_denominators(linear_rows), dtype=object)
+        self.linear = np.array([clear_denominators(row)[1] for row in linear_rows],
+                               dtype=object)
         pf_terms = []
         for pf in pfaffians:
-            terms = []
-            for expo, coef in sorted(pf.terms.items()):
-                pair = [k for k, e in enumerate(expo) for _ in range(e)]
-                terms.append((pair[0], pair[1], coef))
-            if terms:
-                mult = lcm(*(t[2].denominator for t in terms))
-                terms = [(a, b, int(c * mult)) for a, b, c in terms]
-            pf_terms.append(terms)
+            terms = sorted(pf.terms.items())
+            pairs = [[k for k, e in enumerate(expo) for _ in range(e)] for expo, _ in terms]
+            coefs = clear_denominators([c for _, c in terms])[1]
+            pf_terms.append([(a, b, c) for (a, b), c in zip(pairs, coefs)])
         self.pf_terms = pf_terms
         self._lin_bound = int(max(
             (sum(abs(x) for x in row) for row in self.linear.tolist()), default=0))
@@ -546,7 +531,9 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
 
     Returns None when the property holds over the grid, else the first
     violating covector.  Requires an IsMD verdict unless ``max_dim`` is
-    supplied explicitly (as done for discrepancy reporting).
+    supplied explicitly (as done for discrepancy reporting).  B_F = 0
+    exactly when F vanishes on G^1 = span{[X_i, X_j]}, so the violators are
+    the grid points whose cached rank is neither 0 nor ``max_dim``.
     """
     g.require_jacobi()
     if max_dim is None:
@@ -554,24 +541,10 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
         if verdict.kind != "IsMD":
             raise ValueError("maximality check requires an IsMD verdict")
         max_dim = verdict.max_dim
-    g1 = g.derived_ideal()
-    if g1.dim == 0:
+    if g.derived_ideal().dim == 0:
         return None
     ranks = g.kirillov.rank_vector(grid)
-    # F vanishes on G^1 iff its cleared row pairs to zero with every
-    # cleared basis vector of G^1
-    cleared = _clear_denominators(g1.basis())
-    # |<row, basis vector>| <= (grid entry bound) * (basis entry bound) * dim
-    entry_peak = max(grid.radius, _TAIL_ENTRY_BOUND)
-    basis_peak = max(abs(v) for row in cleared for v in row)
-    dtype = np.int64 if entry_peak * basis_peak * g.dim < _INT64_SAFE else object
-    basis_int = np.array(cleared, dtype=dtype)
-    for start, rows in grid.integer_chunks(g.dim):
-        # only points off the maximal rank can violate the property
-        offmax = np.flatnonzero(ranks[start:start + len(rows)] != max_dim)
-        if not len(offmax):
-            continue
-        nonvanishing = (rows[offmax].astype(dtype) @ basis_int.T != 0).any(axis=1)
-        if nonvanishing.any():
-            return grid.covector(g.dim, start + int(offmax[np.argmax(nonvanishing)]))
-    return None
+    violating = (ranks != 0) & (ranks != max_dim)
+    if not violating.any():
+        return None
+    return grid.covector(g.dim, int(np.argmax(violating)))

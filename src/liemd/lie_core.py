@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -288,18 +287,15 @@ class LieAlgebra:
     # -- series, center, centralizer -------------------------------------------
 
     def span_of_brackets(self, left: Subspace, right: Subspace) -> Subspace:
-        vectors = []
-        left_is_full = left.dim == self.dim
-        for v in right.basis():
-            if left_is_full:
-                images = (tuple(-x for x in self.bracket_with_basis(v, i))
-                          for i in range(self.dim))
-            else:
-                images = (self.bracket(u, v) for u in left.basis())
-            for w in images:
-                if any(x != 0 for x in w):
-                    vectors.append(w)
-        return Subspace(self.dim, vectors)
+        if left.dim == self.dim:
+            # [G, s] = [s, G]: swapping the sides negates every bracket
+            left, right = right, left
+        if right.dim == self.dim:
+            images = (self.bracket_with_basis(u, j)
+                      for u in left.basis() for j in range(self.dim))
+        else:
+            images = (self.bracket(u, v) for u in left.basis() for v in right.basis())
+        return Subspace(self.dim, [w for w in images if any(x != 0 for x in w)])
 
     def _series(self, step) -> tuple[Subspace, ...]:
         """G, G^1, then step(last term) until the dimension stabilizes."""
@@ -404,6 +400,16 @@ class LieAlgebra:
         return tuple(self.ad_restricted(self.basis_vector(i), self._derived_ideal).matrix
                      for i in range(self.dim))
 
+    @cached_property
+    def _ad_stack(self) -> list[list[list[int]]]:
+        """stack[r][k][i] is entry (r, k) of D ad_{X_i} on G^1, where D > 0
+        clears every ad_{X_i} on G^1 to integers."""
+        d, n = self._derived_ideal.dim, self.dim
+        flat = clear_denominators([m[r, k] for r in range(d) for k in range(d)
+                                   for m in self._ad_on_derived])[1]
+        return [[flat[(r * d + k) * n:(r * d + k + 1) * n] for k in range(d)]
+                for r in range(d)]
+
     def derived_ideal_commutative(self) -> bool:
         return self._derived_ideal_commutative
 
@@ -449,11 +455,7 @@ class LieAlgebra:
         """
         if not self._derived_ideal_commutative:
             raise ValueError("derived ideal is not commutative")
-        mats = [m.data for m in self._ad_on_derived]
-        den = lcm(*(q.denominator for m in mats for row in m for q in row))
-        # stack[r][k][i] is entry (r, k) of D ad_{X_i}
-        stack = [[[q.numerator * (den // q.denominator) for q in entry] for entry in zip(*rows)]
-                 for rows in zip(*mats)]
+        stack = self._ad_stack
         cx, cy = (clear_denominators(_as_vector(v, self.dim))[1] for v in (x, y))
         ax = [[sum(map(mul, cx, entry)) for entry in row] for row in stack]
         ay = [[sum(map(mul, cy, entry)) for entry in row] for row in stack]

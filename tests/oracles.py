@@ -7,9 +7,10 @@ dimension) by plain Gaussian elimination with division, and the covector
 grid enumerated point by point as ``Fraction``s.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
-``frobenius_form`` and grid rank engine, and tests use them to state
-identities (Cayley-Hamilton, Frobenius blocks, similarity) and to feed
-covector batches to the engine.
+``frobenius_form``, Kirillov form and grid rank engine, and tests use them
+to state identities (Cayley-Hamilton, Frobenius blocks, similarity), to
+scan a grid covector by covector, and to feed covector batches to the
+engine.
 """
 
 import random
@@ -19,7 +20,8 @@ from math import lcm
 
 import numpy as np
 
-from liemd.exact import MatrixQ, frobenius_form, poly_degree, poly_trim
+from liemd.exact import MatrixQ, frobenius_form, mat_rank, poly_degree, poly_trim
+from liemd.kirillov import b_form_at
 
 
 def _rows_of(m):
@@ -161,7 +163,8 @@ def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
         trace = sum(mk.data[i][i] for i in range(n))
         coeffs[n - k] = -trace / k
         if k < n:
-            aux = mk + MatrixQ.identity(n).scale(coeffs[n - k])
+            aux = MatrixQ([[x + coeffs[n - k] if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(mk.data)])
     return tuple(coeffs)
 
 
@@ -171,7 +174,8 @@ def poly_eval_matrix(p, m: MatrixQ) -> MatrixQ:
     power = MatrixQ.identity(m.rows)
     for c in poly_trim(p):
         if c != 0:
-            result = result + power.scale(c)
+            result = MatrixQ([[a + c * b for a, b in zip(ra, rb)]
+                              for ra, rb in zip(result.data, power.data)], m.cols)
         power = power @ m
     return result
 
@@ -240,3 +244,15 @@ def grid_ranks(g, covectors) -> list[int]:
     peak = max(abs(x) for row in cleared for x in row)
     rows = np.array(cleared, dtype=np.int64 if peak < 2 ** 62 else object)
     return [int(r) for r in g.kirillov.engine.ranks_int(rows)]
+
+
+def first_nonmaximal_covector(g, grid, max_dim: int):
+    """The first covector of ``grid_covectors`` that pairs nonzero with some
+    basis vector of G^1 and whose Kirillov form does not have rank
+    ``max_dim``, or None: the maximality property checked point by point."""
+    g1 = g.derived_ideal().basis()
+    for cov in grid_covectors(grid, g.dim):
+        if (any(sum(f * x for f, x in zip(cov, v)) != 0 for v in g1)
+                and mat_rank(b_form_at(g, cov)) != max_dim):
+            return cov
+    return None

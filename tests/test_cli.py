@@ -163,7 +163,7 @@ def test_check_radius4_json_matches_golden(name, algebra, tmp_path, monkeypatch,
 
 
 def test_analyze_computes_each_fact_once(monkeypatch):
-    counts = {"G1": 0, "md_check": 0, "rank_vector": 0}
+    counts = {"G1": 0, "md_check": 0, "rank_vector": 0, "grid_pass": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -183,10 +183,13 @@ def test_analyze_computes_each_fact_once(monkeypatch):
     monkeypatch.setattr(cli, "md_check", md_check)
     monkeypatch.setattr(kirillov._GridEngine, "ranks_int",
                         counted("rank_vector", kirillov._GridEngine.ranks_int))
+    # the rank vector is the only scan of the grid; maximality reads it
+    monkeypatch.setattr(GridSpec, "integer_chunks",
+                        counted("grid_pass", GridSpec.integer_chunks))
     g = build("5.3.8", parse_params("l=2,angle=3/5:4/5"))
     record = cli._analyze(g, GridSpec())
     assert record["md"]["verdict"] == "IsMD" and record["maximality"] == "holds"
-    assert counts == {"G1": 1, "md_check": 1, "rank_vector": 1}
+    assert counts == {"G1": 1, "md_check": 1, "rank_vector": 1, "grid_pass": 1}
 
 
 def test_adjoints_commute_is_exact():

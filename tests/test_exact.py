@@ -138,6 +138,22 @@ def test_apply_with_no_columns_gives_fraction_zeros():
     assert all(type(x) is F for x in image)
 
 
+def test_matrices_with_no_rows_or_no_columns_keep_their_shape():
+    for k in range(1, 4):
+        for rows, cols in ((0, k), (k, 0)):
+            m = MatrixQ.zero(rows, cols)
+            t = m.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert t.transpose() == m
+            for same in (m.scale(3), m.rref()[0]):
+                assert (same.rows, same.cols) == (rows, cols)
+                assert same == m and hash(same) == hash(m)
+        assert MatrixQ.from_columns([()] * k) == MatrixQ.zero(0, k)
+    # equality sees the width of a matrix with no rows
+    assert MatrixQ.zero(0, 3) != MatrixQ.zero(0, 0)
+    assert len({MatrixQ.zero(0, k) for k in range(4)}) == 4
+
+
 # ---------------------------------------------------------------------------
 # the elimination kernel: rref and everything built on it
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from liemd import kirillov
 from liemd.catalog import FamilyParams, build, parse_params
-from liemd.exact import MatrixQ, PolyQ, mat_rank
+from liemd.exact import MatrixQ, PolyQ, clear_denominators, mat_rank
 from liemd.kirillov import (
     GridSpec,
     b_form_at,
@@ -25,7 +25,7 @@ from liemd.kirillov import (
 )
 from liemd.lie_core import LieAlgebra, transport_covector
 from conftest import random_invertible, random_rational
-from oracles import grid_covectors, grid_ranks, minor_rank
+from oracles import first_nonmaximal_covector, grid_covectors, grid_ranks, minor_rank
 
 
 def g51():
@@ -449,10 +449,27 @@ def test_maximality_holds_for_md_instances():
 
 def test_maximality_holds_when_the_derived_basis_exceeds_int64():
     g = basis_changed_538()
-    assert max(abs(v) for row in kirillov._clear_denominators(g.derived_ideal().basis())
-               for v in row) >= 2 ** 63
+    assert max(abs(v) for row in g.derived_ideal().basis()
+               for v in clear_denominators(row)[1]) >= 2 ** 63
     assert md_check(g).kind == "IsMD"
     assert nonvanishing_maximality_check(g) is None
+
+
+def test_maximality_matches_the_fraction_oracle(catalog_algebras):
+    # every default sample and one basis change of each, plus the two
+    # beyond-int64 algebras, against a covector-by-covector scan
+    grid = GridSpec(radius=1, extra_random_samples=20, seed=3)
+    rng = random.Random(29)
+    algebras = [g for _, g in catalog_algebras]
+    algebras += [g.change_of_basis(random_invertible(rng, 5)) for g in algebras]
+    algebras += [huge_constants(), basis_changed_538()]
+    violated = 0
+    for g in algebras:
+        for max_dim in (0, 2, 4):
+            expected = first_nonmaximal_covector(g, grid, max_dim)
+            assert nonvanishing_maximality_check(g, grid, max_dim) == expected
+            violated += expected is not None
+    assert 0 < violated < 3 * len(algebras)
 
 
 def test_maximality_requires_ismd():

@@ -1,12 +1,14 @@
 """The benchmark in ``perfbench/`` calls the library by name.
 
-These tests read its sources with ``ast`` (nothing there is run), so a
-change to ``liemd`` that drops or breaks a name the benchmark uses fails
-here rather than only in a traced benchmark run.
+Most of these tests read its sources with ``ast``; one runs the worker's
+traced ``verify-catalog`` and ``separate`` ops on a small grid.  A change
+to ``liemd`` that drops or breaks a name or a call the benchmark uses
+fails here rather than only in a benchmark run.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 from liemd.kirillov import GridSpec
@@ -66,3 +68,23 @@ def test_perfbench_grid_enumeration_matches_the_oracle():
     covectors = list(grid.covectors(5))
     assert len(covectors) == grid.count(5)
     assert covectors == grid_covectors(grid, 5)
+
+
+def test_perfbench_worker_traces_catalog_and_separate(monkeypatch):
+    # the worker imports its siblings (``run`` and what ``run`` imports) as
+    # top-level modules; take them out of ``sys.modules`` again afterwards
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    try:
+        worker = importlib.import_module("worker")
+        grid = {"radius": 1, "samples": 10, "seed": 1}
+        catalog = worker.run_trace({"kind": "verify-catalog", "grid": grid})
+        separate = worker.run_trace({"kind": "separate", "grid": grid})
+    finally:
+        for name in {"worker", "run", "checks", "inputs"} - before:
+            sys.modules.pop(name, None)
+    for result in (catalog, separate):
+        assert result["spans"] and all(end is not None for _, _, end, _ in result["spans"])
+    assert catalog["facts"]["verdicts"] == 42
+    assert separate["facts"]["pairs"] == 42 * 41 // 2
