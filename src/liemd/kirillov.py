@@ -415,11 +415,9 @@ def _rank_strata(ranks: np.ndarray) -> dict[int, tuple[int, int]]:
 
     One boolean mask at a time, so the scan needs a byte per grid point.
     """
-    strata = {}
-    for value in np.unique(ranks):
-        hits = ranks == value
-        strata[int(value)] = (int(np.argmax(hits)), int(np.count_nonzero(hits)))
-    return strata
+    counts = np.bincount(ranks)
+    return {int(value): (int(np.argmax(ranks == value)), int(counts[value]))
+            for value in np.flatnonzero(counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ analysis entry point that assumes a Lie algebra checks the cached Jacobi
 status first.
 
 An algebra is immutable after construction, so every structural fact
-(Jacobi status, derived and lower central series, center, centralizer of
-G^1, the action of ad on G^1 and its Frobenius decomposition, and the
-Kirillov-form data owned by ``kirillov``) is a
-``functools.cached_property`` computed at most once.
+(the structure constants as integers over one denominator, on which
+brackets and the Jacobi check run, Jacobi status, derived and lower central
+series, center, centralizer of G^1, the action of ad on G^1 and its
+Frobenius decomposition, and the Kirillov-form data owned by ``kirillov``)
+is a ``functools.cached_property`` computed at most once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -208,61 +210,63 @@ class LieAlgebra:
 
     # -- bracket --------------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[X_i, X_j] for 0-based indices, any order."""
-        if i == j:
-            return (ZERO,) * self.dim
-        if i < j:
-            return self.brackets.get((i, j), (ZERO,) * self.dim)
-        vec = self.brackets.get((j, i))
-        if vec is None:
-            return (ZERO,) * self.dim
-        return tuple(-c for c in vec)
+    @cached_property
+    def _int_table(self) -> tuple[int, tuple]:
+        """(D, terms): D > 0 the lcm of every denominator of the structure
+        constants, and one (i, j, ((k, D c_ij^k), ...)) per bracket, keeping
+        only the nonzero terms."""
+        n = self.dim
+        den, flat = clear_denominators([c for vec in self.brackets.values() for c in vec])
+        return den, tuple((i, j, tuple((k, c) for k, c in enumerate(flat[p * n:p * n + n]) if c))
+                          for p, (i, j) in enumerate(self.brackets))
 
     def bracket(self, u: Sequence, v: Sequence) -> Vector:
         """Bilinear antisymmetric extension of the structure constants."""
-        uu = _as_vector(u, self.dim)
-        vv = _as_vector(v, self.dim)
-        out = [ZERO] * self.dim
-        for (i, j), coeffs in self.brackets.items():
+        du, uu = clear_denominators(_as_vector(u, self.dim))
+        dv, vv = clear_denominators(_as_vector(v, self.dim))
+        den, terms = self._int_table
+        out = [0] * self.dim
+        for i, j, coeffs in terms:
             factor = uu[i] * vv[j] - uu[j] * vv[i]
-            if factor != 0:
-                for k, c in enumerate(coeffs):
-                    if c != 0:
-                        out[k] += factor * c
-        return tuple(out)
+            if factor:
+                for k, c in coeffs:
+                    out[k] += factor * c
+        return _over(out, den * du * dv)
 
     def bracket_with_basis(self, u: Sequence, k: int) -> Vector:
         """[u, X_k], avoiding the full bilinear expansion."""
-        uu = _as_vector(u, self.dim)
-        out = [ZERO] * self.dim
-        for (i, j), coeffs in self.brackets.items():
+        du, uu = clear_denominators(_as_vector(u, self.dim))
+        return _over(self._int_with_basis(uu, k), self._int_table[0] * du)
+
+    def _int_with_basis(self, uu: Sequence[int], k: int) -> list[int]:
+        """D [u, X_k] for integer coordinates u, D the table's denominator."""
+        out = [0] * self.dim
+        for i, j, coeffs in self._int_table[1]:
             if j == k:
                 factor = uu[i]
             elif i == k:
                 factor = -uu[j]
             else:
                 continue
-            if factor != 0:
-                for idx, c in enumerate(coeffs):
-                    if c != 0:
-                        out[idx] += factor * c
-        return tuple(out)
+            if factor:
+                for m, c in coeffs:
+                    out[m] += factor * c
+        return out
 
     # -- Jacobi ---------------------------------------------------------------
 
     @cached_property
     def _jacobi_failure(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, self.dim):
-                    total = [a + b + c for a, b, c in zip(
-                        self.bracket_with_basis(bij, k),
-                        self.bracket_with_basis(self.bracket_basis(j, k), i),
-                        self.bracket_with_basis(self.bracket_basis(k, i), j))]
-                    if any(x != 0 for x in total):
-                        return (i, j, k, tuple(total))
+        # t[i][j] = D [X_i, X_j], so each integer sum below is D^2 times the defect
+        n = self.dim
+        e = [[int(a == b) for b in range(n)] for a in range(n)]
+        t = [[self._int_with_basis(e[i], j) for j in range(n)] for i in range(n)]
+        for i, j, k in combinations(range(n), 3):
+            total = [a + b + c for a, b, c in zip(self._int_with_basis(t[i][j], k),
+                                                  self._int_with_basis(t[j][k], i),
+                                                  self._int_with_basis(t[k][i], j))]
+            if any(total):
+                return (i, j, k, _over(total, self._int_table[0] ** 2))
         return None
 
     def jacobi_check(self):
@@ -550,6 +554,10 @@ class LieAlgebra:
                 raise ValueError(f"bracket #{pos} coeffs must be an object")
             entries.append((i, j, coeffs))
         return LieAlgebra.from_brackets(dim, entries, names)
+
+
+def _over(values: Sequence[int], den: int) -> Vector:
+    return tuple(Fraction(x, den) for x in values)
 
 
 def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

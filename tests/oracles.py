@@ -3,8 +3,10 @@
 Deliberately naive implementations that share no code with the library:
 permutation-expansion determinants, rank by exhaustive minor enumeration,
 matrix products by the triple loop, reduced row-echelon form (hence kernel
-dimension) by plain Gaussian elimination with division, and the covector
-grid enumerated point by point as ``Fraction``s.  They exist so that every
+dimension) by plain Gaussian elimination with division, brackets, the
+Jacobi identity and basis changes expanded from ``g.brackets`` over
+``Fraction``s, and the covector grid enumerated point by point as
+``Fraction``s.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
 ``frobenius_form``, Kirillov form and grid rank engine, and tests use them
@@ -129,6 +131,68 @@ def matmul(a, b, width: int) -> list[list[Fraction]]:
                 total += row[k] * b[k][j]
             out[-1].append(total)
     return out
+
+
+def bracket(g, u, v) -> tuple[Fraction, ...]:
+    """[u, v] by the bilinear expansion of the structure constants of ``g``."""
+    uu, vv = [Fraction(x) for x in u], [Fraction(x) for x in v]
+    out = [Fraction(0)] * g.dim
+    for (i, j), coeffs in g.brackets.items():
+        factor = uu[i] * vv[j] - uu[j] * vv[i]
+        if factor != 0:
+            for k, c in enumerate(coeffs):
+                if c != 0:
+                    out[k] += factor * c
+    return tuple(out)
+
+
+def bracket_with_basis(g, u, k: int) -> tuple[Fraction, ...]:
+    """[u, X_k] from the brackets [X_i, X_k] and [X_k, X_j] alone."""
+    uu = [Fraction(x) for x in u]
+    out = [Fraction(0)] * g.dim
+    for (i, j), coeffs in g.brackets.items():
+        if j == k:
+            factor = uu[i]
+        elif i == k:
+            factor = -uu[j]
+        else:
+            continue
+        if factor != 0:
+            for idx, c in enumerate(coeffs):
+                if c != 0:
+                    out[idx] += factor * c
+    return tuple(out)
+
+
+def jacobi_failure(g):
+    """The first 0-based triple i < j < k with a nonzero Jacobi sum
+    [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj], and that sum; or None."""
+    e = [[Fraction(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
+    for i, j, k in combinations(range(g.dim), 3):
+        total = [a + b + c for a, b, c in zip(
+            bracket_with_basis(g, bracket(g, e[i], e[j]), k),
+            bracket_with_basis(g, bracket(g, e[j], e[k]), i),
+            bracket_with_basis(g, bracket(g, e[k], e[i]), j))]
+        if any(x != 0 for x in total):
+            return (i, j, k, tuple(total))
+    return None
+
+
+def change_of_basis_table(g, p) -> dict:
+    """The nonzero brackets P^-1 [P e_i, P e_j] for i < j, with P^-1 read off
+    the ``rref`` oracle of [P | I]."""
+    n = g.dim
+    a = _rows_of(p)
+    augmented = [row + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(a)]
+    inverse = [row[n:] for row in rref(augmented)[0]]
+    cols = [[a[r][c] for r in range(n)] for c in range(n)]
+    table = {}
+    for i, j in combinations(range(n), 2):
+        w = bracket(g, cols[i], cols[j])
+        vec = tuple(sum(x * y for x, y in zip(row, w)) for row in inverse)
+        if any(x != 0 for x in vec):
+            table[(i, j)] = vec
+    return table
 
 
 def grid_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:

@@ -1,5 +1,9 @@
+import ast
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +147,33 @@ def test_check_json_matches_golden(family, params, tmp_path, monkeypatch, capsys
     write_algebra(tmp_path / "algebra.json", build(family, parse_params(params)))
     assert main(["check", "algebra.json", "--json"]) == 0
     assert capsys.readouterr().out == golden(f"check_{family}.json")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_check_scans_the_grid_without_numpy_ma(tmp_path):
+    # rejected.5.2.3 is NotMD, so check scans the grid; -X importtime logs
+    # every module the process imports, so numpy.ma never enters sys.modules
+    write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "liemd.cli", "check", "algebra.json",
+         "--json"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0
+    assert run.stdout == golden("check_rejected.5.2.3.json")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
+def test_liemd_never_calls_np_unique():
+    # np.unique imports numpy.ma on first use
+    calls = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "liemd").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "unique"]
+    assert not calls
 
 
 # aff(C) + R: MD, but no exact rule decides it, so the verdict is

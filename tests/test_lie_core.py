@@ -1,9 +1,14 @@
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import oracles
+from liemd.catalog import build
 from liemd.exact import MatrixQ
 from liemd.lie_core import LieAlgebra, Subspace, transport_covector
 from conftest import random_invertible, random_rational
@@ -29,7 +34,7 @@ def g534():
 def test_from_brackets_builds_nilpotent_example():
     g = g51()
     assert g.dim == 5
-    assert g.bracket_basis(0, 1) == (0, 0, 0, 0, 1)
+    assert g.bracket_with_basis(g.basis_vector(0), 1) == (0, 0, 0, 0, 1)
     assert g.is_lie
 
 
@@ -93,6 +98,60 @@ def test_bracket_antisymmetric_bilinear():
         assert lhs == rhs
 
 
+def rational_invertible(rng: random.Random, n: int) -> MatrixQ:
+    """A random invertible matrix with entries p/q, |p| <= 2, 1 <= q <= 3."""
+    while True:
+        rows = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if oracles.det_perm(rows) != 0:
+            return MatrixQ(rows)
+
+
+def assert_matches_oracles(g: LieAlgebra, rng: random.Random, changes: int = 3):
+    """bracket, bracket_with_basis, jacobi_check and change_of_basis of g
+    against the Fraction oracles, on seeded rational vectors and basis changes."""
+    for _ in range(3):
+        u = [random_rational(rng) for _ in range(g.dim)]
+        v = [random_rational(rng) for _ in range(g.dim)]
+        assert g.bracket(u, v) == oracles.bracket(g, u, v)
+        for k in range(g.dim):
+            assert g.bracket_with_basis(u, k) == oracles.bracket_with_basis(g, u, k)
+    assert g.jacobi_check() == oracles.jacobi_failure(g)
+    for _ in range(changes):
+        p = rational_invertible(rng, g.dim)
+        h = g.change_of_basis(p)
+        assert h.brackets == oracles.change_of_basis_table(g, p)
+        assert_matches_oracles(h, rng, changes=0)
+
+
+def test_integer_table_matches_the_fraction_oracles(catalog_algebras):
+    rng = random.Random(11)
+    for _, g in catalog_algebras:
+        assert_matches_oracles(g, rng)
+
+
+def test_integer_table_of_abelian_and_zero_dimensional_algebras():
+    rng = random.Random(12)
+    for g in (LieAlgebra.abelian(0), LieAlgebra.abelian(1), LieAlgebra.abelian(5)):
+        assert g._int_table == (1, ())
+        assert_matches_oracles(g, rng)
+    assert LieAlgebra.abelian(0).bracket((), ()) == ()
+
+
+def test_integer_table_beyond_int64(monkeypatch):
+    # the benchmark's large-coefficient input: a dense basis change of
+    # rejected.5.2.3 with constants beyond int64
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    base = inputs.table_of(build("rejected.5.2.3").to_dict())
+    wide = inputs.wide_presentation(base, random.Random(1))
+    g = LieAlgebra.from_dict(inputs.doc_of(wide))
+    assert g.brackets == wide and inputs.peak_coefficient(wide) > inputs.INT64_MAX
+    assert_matches_oracles(g, random.Random(13))
+
+
 def test_identity_acts_on_invariant_subspace():
     g = g534()
     assert g.bracket([0, 1, 0, 0, 0], [0, 0, 0, 1, 0]) == (0, 0, 0, 1, 0)
@@ -107,6 +166,24 @@ def test_jacobi_failure_reports_triple_and_defect():
     i, j, k, defect = bad.jacobi_check()
     assert (i, j, k) == (0, 1, 2)
     assert defect == (0, 1, 0)
+
+
+def test_jacobi_defect_of_rational_tables_matches_the_oracle():
+    # random sparse tables with constants p/q mostly break Jacobi, at
+    # triples early and late in the scan
+    rng = random.Random(21)
+    failures = set()
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        entries = [(i, j, {k: random_rational(rng, 3, 4) for k in rng.sample(range(1, n + 1), 2)})
+                   for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                   if rng.random() < 0.3]
+        g = LieAlgebra.from_brackets(n, entries)
+        expected = oracles.jacobi_failure(g)
+        assert g.jacobi_check() == expected
+        if expected is not None:
+            failures.add(expected[:3])
+    assert len(failures) >= 8
 
 
 def test_jacobi_passes_on_central_extensions():
