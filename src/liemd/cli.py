@@ -7,12 +7,12 @@ canonical key order, no timestamps), and wall-clock timings appear only in
 the human-readable text.
 
 Exit codes for ``check``: 0 clean analysis (any verdict), 2 malformed
-input, 3 Jacobi failure.  ``fingerprint``, ``iso`` and ``separate`` exit 2
-on an algebra they cannot analyse (Jacobi failure, not solvable, wrong
-dimension, or outside the iso test's codim-1 case).  ``verify-catalog``
-exits 0 iff every expectation holds, where the known discrepancy family is
-expected to fail the MD test and is reported with oracle evidence rather
-than treated as a crash.
+input, 3 Jacobi failure.  ``orbit-dim``, ``fingerprint``, ``iso`` and
+``separate`` exit 2 on an algebra they cannot analyse (Jacobi failure, not
+solvable, wrong dimension, or outside the iso test's codim-1 case).
+``verify-catalog`` exits 0 iff every expectation holds, where the known
+discrepancy family is expected to fail the MD test and is reported with
+oracle evidence rather than treated as a crash.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _load_algebra(path: str) -> LieAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
@@ -82,8 +82,11 @@ def _grid_from_args(args) -> GridSpec:
 
 def _write_output(text: str, path: str | None):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -180,7 +183,10 @@ def cmd_orbit_dim(args) -> int:
     if len(cov) != g.dim:
         raise SystemExit2(
             f"covector has {len(cov)} coordinates but the algebra has dimension {g.dim}")
-    b = b_form_at(g, cov)
+    try:
+        b = b_form_at(g, cov)
+    except ValueError as exc:  # the Jacobi identity fails
+        raise SystemExit2(f"{args.file}: {exc}")
     dim = mat_rank(b)
     if args.json:
         doc = {"file": args.file, "F": format_vector(cov), "orbit_dim": dim}
@@ -201,7 +207,10 @@ def cmd_catalog_build(args) -> int:
         params = catalog.parse_params(args.params or "")
     except ValueError as exc:
         raise SystemExit2(f"bad parameters: {exc}")
-    violation = catalog.validate_params(args.id, params)
+    try:
+        violation = catalog.validate_params(args.id, params)
+    except ValueError as exc:  # unknown family id
+        raise SystemExit2(str(exc))
     if violation is not None:
         raise SystemExit2(f"invalid parameters for {args.id}: {violation}")
     g = catalog.build(args.id, params)

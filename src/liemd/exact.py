@@ -684,20 +684,6 @@ class PolyQ:
             total += term
         return total
 
-    def scalar_ratio_to(self, other: "PolyQ"):
-        """Return mu with self == mu * other, or None if not proportional."""
-        other = self._coerce(other)
-        if other.is_zero():
-            return ZERO if self.is_zero() else None
-        if self.is_zero():
-            return ZERO
-        expo, coef = next(iter(sorted(other.terms.items())))
-        mine = self.terms.get(expo)
-        if mine is None:
-            return None
-        mu = mine / coef
-        return mu if self == other * mu else None
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -3,15 +3,18 @@
 For a covector F the skew bilinear form B_F(X, Y) = <F, [X, Y]> is stored
 with the index convention b_ij = <F, [X_j, X_i]>; the orbit through F has
 dimension rank(B_F).  The MD test is a certified tri-state procedure:
-``IsMD`` is only ever emitted with a structural proof (all sub-Pfaffians
-vanish identically, the form is identically zero, or every entry is a
-multiple of one linear form), ``NotMD`` carries two rank witnesses that are
-re-verified at emission time, and sampling alone can at most produce
-``Inconclusive`` evidence.
+``IsMD`` is only ever emitted with a structural proof (the derived ideal
+G^1 is zero, all sub-Pfaffians vanish identically, or dim G^1 = 1 so that
+every entry is a multiple of one linear form), ``NotMD`` carries two rank
+witnesses that are re-verified at emission time, and sampling alone can at
+most produce ``Inconclusive`` evidence.
 
 ``KirillovData`` holds the per-algebra facts of this module: the symbolic
-form, its sub-Pfaffians, the vectorized rank engine and one int8 rank
-vector per grid.  It is reached as ``g.kirillov`` and built once per algebra.
+form, its sub-Pfaffians, the integer rank engine and one int8 rank vector
+per grid.  It is reached as ``g.kirillov`` and built once per algebra.  The
+engine reads the structure constants over one common denominator D, so each
+evaluated entry is D*b_ij and each sub-Pfaffian D^2 times its value; no
+rank changes.
 
 Grid scans are integer-native: ``GridSpec.integer_chunks`` yields the grid
 as int64 rows a bounded chunk at a time, and exact ``Fraction`` covectors
@@ -202,8 +205,8 @@ def orbit_dim(g: LieAlgebra, f: Sequence) -> int:
 class SymbolicKirillovForm:
     """The Kirillov form with entries as linear forms in dual coordinates.
 
-    entry(i, j) is a PolyQ in f1..fn with entry(i, j) == -entry(j, i); the
-    evaluation at any covector reproduces ``b_form_at`` exactly.
+    entry(i, j) is a PolyQ in f1..fn with entry(i, j) == -entry(j, i);
+    evaluating the entries at any covector reproduces ``b_form_at`` exactly.
     """
 
     __slots__ = ("dim", "entries")
@@ -223,27 +226,8 @@ class SymbolicKirillovForm:
     def entry(self, i: int, j: int) -> PolyQ:
         return self.entries[i][j]
 
-    def evaluate(self, f: Sequence) -> MatrixQ:
-        cov = as_covector(f, self.dim)
-        return MatrixQ([[e.evaluate(cov) for e in row] for row in self.entries])
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def upper_entries(self) -> list[PolyQ]:
-        return [self.entries[i][j]
-                for i in range(self.dim) for j in range(i + 1, self.dim)]
-
-    def common_linear_factor(self) -> PolyQ | None:
-        """A linear form ell with every entry a rational multiple of ell."""
-        nonzero = [e for e in self.upper_entries() if not e.is_zero()]
-        if not nonzero:
-            return None
-        ell = nonzero[0]
-        for e in nonzero[1:]:
-            if e.scalar_ratio_to(ell) is None:
-                return None
-        return ell
 
 
 def b_form_symbolic(g: LieAlgebra) -> SymbolicKirillovForm:
@@ -259,105 +243,81 @@ def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
     """
     if form.dim != 5:
         raise ValueError("sub-Pfaffian system is only defined for dimension 5")
-    out = []
-    for dropped in range(5):
-        idx = [k for k in range(5) if k != dropped]
-        e = form.entries
-        out.append(pfaffian4(
-            e[idx[0]][idx[1]], e[idx[0]][idx[2]], e[idx[0]][idx[3]],
-            e[idx[1]][idx[2]], e[idx[1]][idx[3]],
-            e[idx[2]][idx[3]]))
-    return out
+    return [pfaffian4(*_principal_slice(form.entries, dropped)) for dropped in range(5)]
+
+
+def _principal_slice(b, dropped: int) -> tuple:
+    """The strict upper triangle b12, b13, b14, b23, b24, b34 of the 4x4
+    principal slice of a 5x5 matrix without row and column ``dropped``."""
+    i, j, k, m = (x for x in range(5) if x != dropped)
+    return b[i][j], b[i][k], b[i][m], b[j][k], b[j][m], b[k][m]
 
 
 # ---------------------------------------------------------------------------
-# fast exact rank evaluation over grids
+# per-algebra facts and the integer rank engine
 # ---------------------------------------------------------------------------
-
-class _GridEngine:
-    """Vectorized exact rank classification for dimension-5 algebras.
-
-    A skew 5x5 matrix has rank 4 iff one of its five principal 4x4
-    sub-Pfaffians is nonzero, rank >= 2 iff any entry is nonzero.  Both
-    tests survive row scaling, so covectors and coefficient forms are
-    cleared to integers and evaluated with int64 (checked against a
-    conservative overflow bound, falling back to exact object arithmetic).
-    """
-
-    def __init__(self, form: SymbolicKirillovForm, pfaffians: Sequence[PolyQ]):
-        if form.dim != 5:
-            raise ValueError("fast grid path requires dimension 5")
-        linear_rows = []
-        for i in range(5):
-            for j in range(i + 1, 5):
-                poly = form.entries[i][j]
-                coeffs = [ZERO] * 5
-                for expo, c in poly.terms.items():
-                    coeffs[expo.index(1)] = c
-                linear_rows.append(coeffs)
-        self.linear = np.array([clear_denominators(row)[1] for row in linear_rows],
-                               dtype=object)
-        pf_terms = []
-        for pf in pfaffians:
-            terms = sorted(pf.terms.items())
-            pairs = [[k for k, e in enumerate(expo) for _ in range(e)] for expo, _ in terms]
-            coefs = clear_denominators([c for _, c in terms])[1]
-            pf_terms.append([(a, b, c) for (a, b), c in zip(pairs, coefs)])
-        self.pf_terms = pf_terms
-        self._lin_bound = int(max(
-            (sum(abs(x) for x in row) for row in self.linear.tolist()), default=0))
-        self._pf_bound = int(max(
-            (sum(abs(c) for _, _, c in terms) for terms in pf_terms), default=0))
-
-    def _within_bounds(self, max_abs: int) -> bool:
-        lin_peak = self._lin_bound * max_abs
-        pf_peak = self._pf_bound * max_abs * max_abs
-        # the coefficient bounds alone must also fit, since the coefficient
-        # arrays are cast to the covectors' dtype before multiplying
-        return max(lin_peak, pf_peak, self._lin_bound, self._pf_bound) < _INT64_SAFE
-
-    def ranks_int(self, x: np.ndarray) -> np.ndarray:
-        """Exact ranks for integer covector rows (already cleared)."""
-        if len(x) == 0:
-            return np.zeros(0, dtype=np.int8)
-        max_abs = int(np.abs(x).max(initial=0))
-        if x.dtype != object and not self._within_bounds(max_abs):
-            x = x.astype(object)
-        entries = x @ self.linear.astype(x.dtype).T
-        nonzero_entry = (entries != 0).any(axis=1)
-        rank4 = np.zeros(len(x), dtype=bool)
-        for terms in self.pf_terms:
-            if not terms:
-                continue
-            value = np.zeros(len(x), dtype=x.dtype)
-            for a, b, c in terms:
-                value = value + x[:, a] * x[:, b] * c
-            rank4 |= np.asarray(value != 0, dtype=bool)
-        ranks = np.zeros(len(x), dtype=np.int8)
-        ranks[nonzero_entry] = 2
-        ranks[rank4] = 4
-        return ranks
-
 
 class KirillovData:
     """Kirillov-form facts of one algebra, each computed at most once.
 
     Built through ``g.kirillov`` (a cached property), so it lives exactly
-    as long as its algebra.  It keeps the form rather than the algebra,
-    which avoids a reference cycle.
+    as long as its algebra.  It keeps the form and an integer copy of the
+    structure constants rather than the algebra, which avoids a reference
+    cycle: row p of ``_linear`` holds D*b_ij as a linear form in F, for the
+    p-th pair i < j and one common denominator D.
     """
 
     def __init__(self, g: LieAlgebra):
         self.form = SymbolicKirillovForm(g)  # requires the Jacobi identity
+        n = g.dim
+        self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        absent = (ZERO,) * n
+        # b_ij = <F, [X_j, X_i]> = -<F, [X_i, X_j]> for i < j
+        _, flat = clear_denominators(
+            [-c for pair in self._pairs for c in g.brackets.get(pair, absent)])
+        self._linear = np.array(flat, dtype=object).reshape(len(self._pairs), n)
+        # L: the largest absolute row sum, so |entry| <= L * max|x|
+        self._bound = max((sum(map(abs, row)) for row in self._linear.tolist()), default=0)
         self._ranks: dict[GridSpec, np.ndarray] = {}
 
     @cached_property
     def pfaffians(self) -> list[PolyQ]:
         return pfaffian_system(self.form)
 
-    @cached_property
-    def engine(self) -> _GridEngine:
-        return _GridEngine(self.form, self.pfaffians)
+    def ranks_int(self, x: np.ndarray) -> np.ndarray:
+        """Exact ranks for integer covector rows (already cleared).
+
+        In dimension 5 a skew matrix has rank 4 iff one of its five
+        principal 4x4 sub-Pfaffians is nonzero, and rank >= 2 iff any entry
+        is nonzero; other dimensions take the exact rank of each integer
+        skew matrix.  int64 is used while |entry| <= L*m and
+        |sub-Pfaffian| <= 3(L*m)^2 stay below 2^62 (m the largest |x|),
+        exact object arithmetic otherwise.
+        """
+        peak = self._bound * int(np.abs(x).max(initial=0))
+        if x.dtype != object and max(3 * peak * peak, self._bound) >= _INT64_SAFE:
+            x = x.astype(object)
+        entries = x @ self._linear.astype(x.dtype).T
+        n = self.form.dim
+        if n != 5:
+            return np.array([mat_rank(MatrixQ(self._skew(row, n))) for row in entries.tolist()],
+                            dtype=np.int8)
+        b = [[None] * 5 for _ in range(5)]
+        for column, (i, j) in zip(entries.T, self._pairs):
+            b[i][j] = column
+        rank4 = np.zeros(len(x), dtype=bool)
+        for dropped in range(5):
+            rank4 |= np.asarray(pfaffian4(*_principal_slice(b, dropped)) != 0, dtype=bool)
+        ranks = np.zeros(len(x), dtype=np.int8)
+        ranks[(entries != 0).any(axis=1)] = 2
+        ranks[rank4] = 4
+        return ranks
+
+    def _skew(self, upper: Sequence[int], n: int) -> list[list[int]]:
+        m = [[0] * n for _ in range(n)]
+        for value, (i, j) in zip(upper, self._pairs):
+            m[i][j], m[j][i] = value, -value
+        return m
 
     def rank_vector(self, grid: GridSpec) -> np.ndarray:
         """Read-only int8 ranks over the whole grid, in enumeration order.
@@ -370,11 +330,7 @@ class KirillovData:
             n = self.form.dim
             ranks = np.empty(grid.count(n), dtype=np.int8)
             for start, rows in grid.integer_chunks(n):
-                if n == 5:
-                    chunk = self.engine.ranks_int(rows)
-                else:
-                    chunk = [mat_rank(self.form.evaluate(row)) for row in rows.tolist()]
-                ranks[start:start + len(rows)] = chunk
+                ranks[start:start + len(rows)] = self.ranks_int(rows)
             ranks.setflags(write=False)
             self._ranks[grid] = ranks
         return ranks
@@ -468,12 +424,13 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
     """Decide the MD property with a certificate.
 
     Order of rules:
-      1. zero form  ->  IsMD with maximal dimension 0;
+      1. zero form: G^1 = 0  ->  IsMD with maximal dimension 0;
       2. all five sub-Pfaffians identically zero  ->  IsMD with maximum 2
          (rank is at most 2 everywhere and 2 is attained since some entry
          is a nonzero linear form);
-      3. every entry a rational multiple of one linear form ell  ->  the
-         rank is constant on {ell != 0}: IsMD with that constant;
+      3. common factor: dim G^1 = 1  ->  every entry is a rational multiple
+         of one linear form ell, and the rank is constant on {ell != 0}:
+         IsMD with that constant;
       4. otherwise scan the grid; two distinct nonzero ranks give NotMD
          with verified witnesses, anything else is Inconclusive.  Sampling
          never proves IsMD.
@@ -484,19 +441,18 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
     if g.dim != 5:
         raise ValueError("MD analysis is implemented for dimension 5 only")
 
-    form = b_form_symbolic(g)
-    if form.is_zero():
+    g1 = g.derived_ideal()
+    if g1.dim == 0:
         return MDVerdict(kind="IsMD", max_dim=0, proof="zero-form")
 
     if all(p.is_zero() for p in g.kirillov.pfaffians):
         return MDVerdict(kind="IsMD", max_dim=2, proof="pfaffian-vanishing")
 
-    ell = form.common_linear_factor()
-    if ell is not None:
-        # B(F) = ell(F) * L for a constant skew matrix L, so the rank is
-        # rank L on {ell != 0}, which holds e_k for each f_k term of ell
-        k = next(expo.index(1) for expo in ell.terms)
-        max_dim = mat_rank(b_form_at(g, g.basis_vector(k)))
+    if g1.dim == 1:
+        # G^1 = span{z}: B(F) = ell(F) * L with ell(F) = <F, z> and L a
+        # constant skew matrix, so the rank is rank L wherever ell != 0,
+        # as at e_k for the pivot k of z
+        max_dim = mat_rank(b_form_at(g, g.basis_vector(g1.pivots[0])))
         return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
 
     ranks = g.kirillov.rank_vector(grid)

@@ -292,8 +292,8 @@ def skew4_from_upper(b12, b13, b14, b23, b24, b34) -> MatrixQ:
 
 
 def grid_ranks(g, covectors) -> list[int]:
-    """Orbit dimensions of a batch of ``Fraction`` covectors of a
-    5-dimensional algebra, through its grid rank engine.
+    """Orbit dimensions of a batch of ``Fraction`` covectors, through the
+    algebra's grid rank engine.
 
     Each covector is cleared to integers, which leaves its rank unchanged;
     the engine itself moves to exact object arithmetic when its int64
@@ -307,7 +307,7 @@ def grid_ranks(g, covectors) -> list[int]:
         cleared.append([int(x * den) for x in cov])
     peak = max(abs(x) for row in cleared for x in row)
     rows = np.array(cleared, dtype=np.int64 if peak < 2 ** 62 else object)
-    return [int(r) for r in g.kirillov.engine.ranks_int(rows)]
+    return [int(r) for r in g.kirillov.ranks_int(rows)]
 
 
 def first_nonmaximal_covector(g, grid, max_dim: int):

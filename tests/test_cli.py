@@ -212,8 +212,8 @@ def test_analyze_computes_each_fact_once(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "span_of_brackets", span_counted)
     monkeypatch.setattr(kirillov, "md_check", md_check)
     monkeypatch.setattr(cli, "md_check", md_check)
-    monkeypatch.setattr(kirillov._GridEngine, "ranks_int",
-                        counted("rank_vector", kirillov._GridEngine.ranks_int))
+    monkeypatch.setattr(kirillov.KirillovData, "ranks_int",
+                        counted("rank_vector", kirillov.KirillovData.ranks_int))
     # the rank vector is the only scan of the grid; maximality reads it
     monkeypatch.setattr(GridSpec, "integer_chunks",
                         counted("grid_pass", GridSpec.integer_chunks))
@@ -351,6 +351,30 @@ def test_fingerprint_and_separate_reject_unsupported_input_exit2(
     assert main(["fingerprint", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["separate", g51_file, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def _jacobi_failure_orbit_dim(tmp_path):
+    bad = LieAlgebra.from_brackets(5, [(1, 2, {1: 1}), (1, 3, {2: 1})])
+    return ["orbit-dim", write_algebra(tmp_path / "bad.json", bad), "--f", "1,0,0,0,0"]
+
+
+def _latin1_check(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dim": 1, "brackets": [], "name": "\u00e9"}'.encode("latin-1"))
+    return ["check", str(path)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_jacobi_failure_orbit_dim, "Jacobi"),
+    (lambda tmp_path: ["catalog", "build", "9.9"], "unknown family id '9.9'"),
+    (_latin1_check, "cannot read"),
+    (lambda tmp_path: ["catalog", "build", "5.1", "-o", str(tmp_path / "no-dir" / "x.json")],
+     "cannot write"),
+], ids=["orbit-dim-jacobi", "unknown-family", "not-utf8", "unwritable-output"])
+def test_cli_errors_exit2_without_traceback(argv, message, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 

@@ -436,13 +436,3 @@ def test_polyq_never_stores_zero_coefficients():
     assert q.terms == {}
     r = f1 * 0
     assert r.terms == {}
-
-
-def test_polyq_scalar_ratio():
-    f1 = PolyQ.variable(0, 3)
-    f2 = PolyQ.variable(1, 3)
-    form = 2 * f1 - 3 * f2
-    assert (form * F(5, 7)).scalar_ratio_to(form) == F(5, 7)
-    assert PolyQ.zero(3).scalar_ratio_to(form) == 0
-    assert f1.scalar_ratio_to(f2) is None
-    assert (form + f1 * f1).scalar_ratio_to(form) is None

@@ -146,7 +146,8 @@ def test_symbolic_matches_numeric_everywhere(catalog_samples):
         form = b_form_symbolic(g)
         for _ in range(100):
             f = [random_rational(rng, 9, 9) for _ in range(5)]
-            assert form.evaluate(f) == b_form_at(g, f)
+            assert MatrixQ([[e.evaluate(f) for e in row]
+                            for row in form.entries]) == b_form_at(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,51 @@ def test_fast_rank_path_huge_structure_constants():
     fast = grid_ranks(g, covs)
     slow = [mat_rank(b_form_at(g, f)) for f in covs]
     assert fast == slow
+
+
+def _oracle_profile(g, grid):
+    histogram, witnesses = {}, {}
+    for cov in grid_covectors(grid, g.dim):
+        rank = mat_rank(b_form_at(g, cov))
+        histogram[rank] = histogram.get(rank, 0) + 1
+        witnesses.setdefault(rank, cov)
+    return histogram, witnesses
+
+
+def aff_r():
+    return LieAlgebra.from_brackets(2, [(1, 2, {2: 1})])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: aff_r().direct_sum(aff_r()),
+    # beyond int64 and with two denominators: the exact object path
+    lambda: LieAlgebra.from_brackets(4, [(1, 2, {2: 2 ** 80}), (3, 4, {4: F(1, 3)})]),
+    lambda: g51().direct_sum(LieAlgebra.abelian(1)),
+], ids=["aff_r_squared", "aff_r_squared_huge", "g51_plus_r"])
+def test_rank_profile_outside_dimension_5_matches_the_oracle(make):
+    g = make()
+    grid = GridSpec(radius=1, extra_random_samples=20, seed=3)
+    profile = rank_profile(g, grid)
+    assert (profile.histogram, profile.witnesses) == _oracle_profile(g, grid)
+
+
+def central_quadruple():
+    # [X1,X2] = X5/2, [X3,X4] = 2X5, [X1,X3] = X5, [X2,X4] = X5 with X5
+    # central: B_F = f5 * L where L's 4x4 Pfaffian 1/2*2 - 1*1 vanishes,
+    # while clearing each entry's denominator on its own would not
+    return LieAlgebra.from_brackets(5, [(1, 2, {5: F(1, 2)}), (3, 4, {5: 2}),
+                                        (1, 3, {5: 1}), (2, 4, {5: 1})])
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_rank_engine_clears_one_common_denominator(moved):
+    g = central_quadruple()
+    if moved:
+        g = g.change_of_basis(random_invertible(random.Random(11), 5))
+    grid = GridSpec()
+    profile = rank_profile(g, grid)
+    assert set(profile.histogram) <= {0, 2}
+    assert (profile.histogram, profile.witnesses) == _oracle_profile(g, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +567,7 @@ def test_grid_results_do_not_depend_on_the_chunk_size(make, monkeypatch):
 def test_rank_vector_peak_memory_is_flat_in_the_radius():
     def peak(radius):
         g = g538()
-        g.kirillov.engine  # built outside the traced region
+        g.kirillov  # built outside the traced region
         tracemalloc.start()
         try:
             g.kirillov.rank_vector(GridSpec(radius=radius))

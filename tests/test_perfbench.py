@@ -1,15 +1,18 @@
 """The benchmark in ``perfbench/`` calls the library by name.
 
-Most of these tests read its sources with ``ast``; one runs the worker's
-traced ``verify-catalog`` and ``separate`` ops on a small grid.  A change
-to ``liemd`` that drops or breaks a name or a call the benchmark uses
-fails here rather than only in a benchmark run.
+Most of these tests read its sources with ``ast``; two run the worker's
+traced ops (``verify-catalog``, ``separate``, ``presentations`` and one
+``check``) on a radius-1 grid.  A change to ``liemd`` that drops or breaks
+a name or a call the benchmark uses fails here rather than only in a
+benchmark run.
 """
 
 import ast
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 from liemd.kirillov import GridSpec
 from oracles import grid_covectors
@@ -70,21 +73,53 @@ def test_perfbench_grid_enumeration_matches_the_oracle():
     assert covectors == grid_covectors(grid, 5)
 
 
-def test_perfbench_worker_traces_catalog_and_separate(monkeypatch):
-    # the worker imports its siblings (``run`` and what ``run`` imports) as
-    # top-level modules; take them out of ``sys.modules`` again afterwards
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    """``perfbench/run.py`` and ``perfbench/worker.py``, imported as the
+    benchmark imports them: each imports its siblings as top-level modules,
+    which are taken out of ``sys.modules`` again afterwards."""
     before = set(sys.modules)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     try:
-        worker = importlib.import_module("worker")
-        grid = {"radius": 1, "samples": 10, "seed": 1}
-        catalog = worker.run_trace({"kind": "verify-catalog", "grid": grid})
-        separate = worker.run_trace({"kind": "separate", "grid": grid})
+        yield importlib.import_module("run"), importlib.import_module("worker")
     finally:
         for name in {"worker", "run", "checks", "inputs"} - before:
             sys.modules.pop(name, None)
-    for result in (catalog, separate):
-        assert result["spans"] and all(end is not None for _, _, end, _ in result["spans"])
+
+
+def _closed(result) -> set:
+    """The span names of a traced op, once every span is checked closed."""
+    assert result["spans"] and all(end is not None for _, _, end, _ in result["spans"])
+    return {name for name, _, _, _ in result["spans"]}
+
+
+def test_perfbench_worker_traces_catalog_and_separate(perfbench_modules):
+    _, worker = perfbench_modules
+    grid = {"radius": 1, "samples": 10, "seed": 1}
+    catalog = worker.run_trace({"kind": "verify-catalog", "grid": grid})
+    separate = worker.run_trace({"kind": "separate", "grid": grid})
+    _closed(catalog)
+    _closed(separate)
     assert catalog["facts"]["verdicts"] == 42
     assert separate["facts"]["pairs"] == 42 * 41 // 2
+
+
+def test_perfbench_worker_traces_presentations_and_check(perfbench_modules, tmp_path):
+    run, worker = perfbench_modules
+    data = run.generate(str(tmp_path), 1)
+    grid = {"radius": 1, "samples": 10, "seed": 1}
+    spec = dict(data["lib_spec"], kind="presentations", grid=grid,
+                ops=data["lib_spec"]["ops"][:6])
+    presentations = worker.run_trace(spec)
+    check = worker.run_trace({"kind": "check", "file": data["grid_files"]["5.3.8"],
+                              "grid": grid, "rank_span": "kirillov.rank_profile",
+                              "enumerate": True})
+    assert _closed(presentations) >= {
+        "op.presentation", "lie_core.parse", "lie_core.jacobi", "lie_core.series",
+        "lie_core.center", "kirillov.form", "kirillov.md_check", "exact.frobenius",
+        "invariants.fingerprint"}
+    assert presentations["wall"] > 0
+    assert _closed(check) >= {"cli.check", "kirillov.grid_enum", "lie_core.parse",
+                              "kirillov.md_check", "kirillov.rank_profile"}
+    assert check["facts"]["grid_points"] == 3 ** 5 + 10
