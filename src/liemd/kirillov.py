@@ -14,7 +14,8 @@ form, its sub-Pfaffians, the integer rank engine and one int8 rank vector
 per grid.  It is reached as ``g.kirillov`` and built once per algebra.  The
 engine reads the structure constants over one common denominator D, so each
 evaluated entry is D*b_ij and each sub-Pfaffian D^2 times its value; no
-rank changes.
+rank changes.  Past int64, dimension 5 works modulo primes below 2^30 whose
+product exceeds a bound on every value: exact by the CRT (see ``ranks_int``).
 
 Grid scans are integer-native: ``GridSpec.integer_chunks`` yields the grid
 as int64 rows a bounded chunk at a time, and exact ``Fraction`` covectors
@@ -29,6 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, count
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -47,9 +49,14 @@ from .lie_core import LieAlgebra
 
 Covector = tuple[Fraction, ...]
 
-# ceiling for the numpy int64 fast path; beyond this we fall back to exact
-# Python integers
+# ceiling for the numpy int64 fast path (see ``KirillovData.ranks_int``)
 _INT64_SAFE = 2 ** 62
+
+_PRIMES: list[int] = []  # primes below 2^30, largest first, found on first use
+
+# per dropped index: where b12..b34 of its 4x4 principal slice sit among i < j
+_SLICES = [[p for p, pair in enumerate(combinations(range(5), 2)) if dropped not in pair]
+           for dropped in range(5)]
 
 # rows per grid chunk: a grid scan holds one chunk at a time, so its working
 # memory does not grow with the radius
@@ -58,6 +65,24 @@ GRID_CHUNK = 1 << 14
 # most points (box plus random tail, in dimension 5) a grid may have; the
 # rank vector holds one byte per point and a scan visits every one
 MAX_GRID_POINTS = 10 ** 8
+
+
+def _primes() -> Iterator[int]:
+    """Primes below 2^30, largest first, memoised in ``_PRIMES``: an odd q
+    with 2^15 < q < 2^30 is prime iff no odd 3 <= d < 2^15 divides it."""
+    for k in count():
+        if k == len(_PRIMES):
+            top = _PRIMES[-1] if _PRIMES else 2 ** 30 + 1
+            _PRIMES.append(next(q for q in range(top - 2, 2 ** 15, -2)
+                                if (q % np.arange(3, 2 ** 15, 2)).all()))
+        yield _PRIMES[k]
+
+
+def _residues(a: np.ndarray, q: int, rows=slice(None)) -> np.ndarray:
+    """a[rows] modulo q as int64; a holds int64 or Python integers."""
+    if a.dtype == object:
+        a = np.fromiter((v % q for v in a.flat), dtype=np.int64, count=a.size).reshape(a.shape)
+    return a[rows] % q
 
 
 def as_covector(values: Sequence, dim: int) -> Covector:
@@ -205,7 +230,7 @@ def orbit_dim(g: LieAlgebra, f: Sequence) -> int:
 class SymbolicKirillovForm:
     """The Kirillov form with entries as linear forms in dual coordinates.
 
-    entry(i, j) is a PolyQ in f1..fn with entry(i, j) == -entry(j, i);
+    entries[i][j] is a PolyQ in f1..fn with entries[i][j] == -entries[j][i];
     evaluating the entries at any covector reproduces ``b_form_at`` exactly.
     """
 
@@ -223,12 +248,6 @@ class SymbolicKirillovForm:
         self.dim = n
         self.entries = tuple(tuple(row) for row in grid)
 
-    def entry(self, i: int, j: int) -> PolyQ:
-        return self.entries[i][j]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
 
 def b_form_symbolic(g: LieAlgebra) -> SymbolicKirillovForm:
     return g.kirillov.form
@@ -243,14 +262,8 @@ def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
     """
     if form.dim != 5:
         raise ValueError("sub-Pfaffian system is only defined for dimension 5")
-    return [pfaffian4(*_principal_slice(form.entries, dropped)) for dropped in range(5)]
-
-
-def _principal_slice(b, dropped: int) -> tuple:
-    """The strict upper triangle b12, b13, b14, b23, b24, b34 of the 4x4
-    principal slice of a 5x5 matrix without row and column ``dropped``."""
-    i, j, k, m = (x for x in range(5) if x != dropped)
-    return b[i][j], b[i][k], b[i][m], b[j][k], b[j][m], b[k][m]
+    upper = [form.entries[i][j] for i, j in combinations(range(5), 2)]
+    return [pfaffian4(*(upper[p] for p in kept)) for kept in _SLICES]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +283,7 @@ class KirillovData:
     def __init__(self, g: LieAlgebra):
         self.form = SymbolicKirillovForm(g)  # requires the Jacobi identity
         n = g.dim
-        self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self._pairs = list(combinations(range(n), 2))
         absent = (ZERO,) * n
         # b_ij = <F, [X_j, X_i]> = -<F, [X_i, X_j]> for i < j
         _, flat = clear_denominators(
@@ -290,27 +303,53 @@ class KirillovData:
         In dimension 5 a skew matrix has rank 4 iff one of its five
         principal 4x4 sub-Pfaffians is nonzero, and rank >= 2 iff any entry
         is nonzero; other dimensions take the exact rank of each integer
-        skew matrix.  int64 is used while |entry| <= L*m and
-        |sub-Pfaffian| <= 3(L*m)^2 stay below 2^62 (m the largest |x|),
-        exact object arithmetic otherwise.
+        skew matrix.  With m the largest |x|, |entry| <= L*m and
+        |sub-Pfaffian| <= 3(L*m)^2.  int64 is used while these and L stay
+        below 2^62; beyond, other dimensions use exact Python integers and
+        dimension 5 residues modulo primes q < 2^30, taken until their
+        product passes B = max(3(L*m)^2, L*m): by the CRT a value |v| <= B
+        that vanishes modulo them is 0, so every rank stays exact.  With x
+        and the constants reduced below q, an entry sums five products
+        < 5q^2 < 2^63 and a Pfaffian product is < q^2 < 2^60.
         """
-        peak = self._bound * int(np.abs(x).max(initial=0))
-        if x.dtype != object and max(3 * peak * peak, self._bound) >= _INT64_SAFE:
+        peak = self._bound * max(int(x.max(initial=0)), -int(x.min(initial=0)))
+        n = self.form.dim
+        if x.dtype == object or max(3 * peak * peak, self._bound) >= _INT64_SAFE:
+            if n == 5:
+                return self._ranks_mod(x, peak)
             x = x.astype(object)
         entries = x @ self._linear.astype(x.dtype).T
-        n = self.form.dim
         if n != 5:
             return np.array([mat_rank(MatrixQ(self._skew(row, n))) for row in entries.tolist()],
                             dtype=np.int8)
-        b = [[None] * 5 for _ in range(5)]
-        for column, (i, j) in zip(entries.T, self._pairs):
-            b[i][j] = column
         rank4 = np.zeros(len(x), dtype=bool)
-        for dropped in range(5):
-            rank4 |= np.asarray(pfaffian4(*_principal_slice(b, dropped)) != 0, dtype=bool)
+        for kept in _SLICES:
+            rank4 |= pfaffian4(*(entries[:, p] for p in kept)) != 0
         ranks = np.zeros(len(x), dtype=np.int8)
         ranks[(entries != 0).any(axis=1)] = 2
         ranks[rank4] = 4
+        return ranks
+
+    def _ranks_mod(self, x: np.ndarray, peak: int) -> np.ndarray:
+        """``ranks_int`` modulo primes, peak = L*m.  Rows leave at their first
+        nonzero residue of a live sub-Pfaffian (one not identically zero;
+        rank 4) or, with none live (B = L*m), of an entry (rank 2)."""
+        live = [k for k, p in enumerate(self.pfaffians) if not p.is_zero()]
+        bound = max(3 * peak * peak, peak) if live else peak
+        ranks, todo = np.zeros(len(x), dtype=np.int8), np.arange(len(x))
+        primes, product = _primes(), 1
+        while product <= bound and len(todo):
+            q = next(primes)
+            product *= q
+            entries = _residues(x, q, todo) @ _residues(self._linear, q).T
+            entries %= q
+            nonzero = (entries != 0).any(axis=1)
+            ranks[todo[nonzero]] = 2
+            done = np.zeros(len(todo), dtype=bool) if live else nonzero
+            for k in live:
+                done |= pfaffian4(*(entries[:, p] for p in _SLICES[k])) % q != 0
+            ranks[todo[done]] = 4 if live else 2
+            todo = todo[~done]
         return ranks
 
     def _skew(self, upper: Sequence[int], n: int) -> list[list[int]]:

@@ -233,10 +233,11 @@ class LieAlgebra:
                     out[k] += factor * c
         return _over(out, den * du * dv)
 
-    def bracket_with_basis(self, u: Sequence, k: int) -> Vector:
-        """[u, X_k], avoiding the full bilinear expansion."""
+    def brackets_with_basis(self, u: Sequence) -> list[Vector]:
+        """[u, X_k] for every k, clearing u once."""
         du, uu = clear_denominators(_as_vector(u, self.dim))
-        return _over(self._int_with_basis(uu, k), self._int_table[0] * du)
+        den = self._int_table[0] * du
+        return [_over(self._int_with_basis(uu, k), den) for k in range(self.dim)]
 
     def _int_with_basis(self, uu: Sequence[int], k: int) -> list[int]:
         """D [u, X_k] for integer coordinates u, D the table's denominator."""
@@ -295,8 +296,7 @@ class LieAlgebra:
             # [G, s] = [s, G]: swapping the sides negates every bracket
             left, right = right, left
         if right.dim == self.dim:
-            images = (self.bracket_with_basis(u, j)
-                      for u in left.basis() for j in range(self.dim))
+            images = (w for u in left.basis() for w in self.brackets_with_basis(u))
         else:
             images = (self.bracket(u, v) for u in left.basis() for v in right.basis())
         return Subspace(self.dim, [w for w in images if any(x != 0 for x in w)])
@@ -354,8 +354,7 @@ class LieAlgebra:
         blocks = []
         for v in s.basis():
             # row block: u -> [u, v], columns are [X_i, v] = -[v, X_i]
-            cols = [tuple(-x for x in self.bracket_with_basis(v, i))
-                    for i in range(self.dim)]
+            cols = [tuple(-x for x in w) for w in self.brackets_with_basis(v)]
             blocks.extend(MatrixQ.from_columns(cols).data)
         return Subspace(self.dim, MatrixQ(blocks).nullspace())
 

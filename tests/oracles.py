@@ -5,8 +5,8 @@ permutation-expansion determinants, rank by exhaustive minor enumeration,
 matrix products by the triple loop, reduced row-echelon form (hence kernel
 dimension) by plain Gaussian elimination with division, brackets, the
 Jacobi identity and basis changes expanded from ``g.brackets`` over
-``Fraction``s, and the covector grid enumerated point by point as
-``Fraction``s.  They exist so that every
+``Fraction``s, the covector grid enumerated point by point as
+``Fraction``s, and primality by trial division.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
 ``frobenius_form``, Kirillov form and grid rank engine, and tests use them
@@ -18,7 +18,7 @@ engine.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -195,6 +195,11 @@ def change_of_basis_table(g, p) -> dict:
     return table
 
 
+def is_prime(q: int) -> bool:
+    """Primality by trial division by every d with d * d <= q."""
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
 def grid_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:
     """Every covector of a ``GridSpec`` in enumeration order, as ``Fraction``s.
 
@@ -295,9 +300,10 @@ def grid_ranks(g, covectors) -> list[int]:
     """Orbit dimensions of a batch of ``Fraction`` covectors, through the
     algebra's grid rank engine.
 
-    Each covector is cleared to integers, which leaves its rank unchanged;
-    the engine itself moves to exact object arithmetic when its int64
-    bounds are exceeded.
+    Each covector is cleared to integers, which leaves its rank unchanged.
+    Rows beyond int64 are passed as Python integers; past its int64 bounds
+    the engine works modulo primes in dimension 5, and in exact Python
+    integers in other dimensions.
     """
     if not covectors:
         return []

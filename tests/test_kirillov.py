@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from itertools import islice
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,13 @@ from liemd.kirillov import (
 )
 from liemd.lie_core import LieAlgebra, transport_covector
 from conftest import random_invertible, random_rational
-from oracles import first_nonmaximal_covector, grid_covectors, grid_ranks, minor_rank
+from oracles import (
+    first_nonmaximal_covector,
+    grid_covectors,
+    grid_ranks,
+    is_prime,
+    minor_rank,
+)
 
 
 def g51():
@@ -41,8 +49,8 @@ def g538():
 
 
 def huge_constants():
-    # structure constants beyond int64 send the rank engine down its exact
-    # object-dtype path
+    # structure constants beyond int64 send the rank engine down its
+    # residue path modulo primes
     return LieAlgebra.from_brackets(5, [(1, 2, {5: F(2 ** 80)}), (3, 4, {5: 1})])
 
 
@@ -111,12 +119,13 @@ def test_symbolic_form_entries_of_central_extension():
     form = b_form_symbolic(g51())
     for i in range(5):
         for j in range(5):
-            e = form.entry(i, j)
+            e = form.entries[i][j]
             assert e.is_zero() or e == F5 or e == -F5
 
 
 def test_symbolic_form_of_abelian_is_zero():
-    assert b_form_symbolic(LieAlgebra.abelian(5)).is_zero()
+    form = b_form_symbolic(LieAlgebra.abelian(5))
+    assert all(e.is_zero() for row in form.entries for e in row)
 
 
 def test_symbolic_form_group3_support():
@@ -124,8 +133,8 @@ def test_symbolic_form_group3_support():
     form = b_form_symbolic(g)
     for i in range(2, 5):
         for j in range(2, 5):
-            assert form.entry(i, j).is_zero()
-    assert not form.entry(0, 1).is_zero()
+            assert form.entries[i][j].is_zero()
+    assert not form.entries[0][1].is_zero()
 
 
 def test_symbolic_form_is_bordered_for_codim1_families(catalog_samples):
@@ -137,7 +146,7 @@ def test_symbolic_form_is_bordered_for_codim1_families(catalog_samples):
         form = b_form_symbolic(g)
         for i in range(1, 5):
             for j in range(1, 5):
-                assert form.entry(i, j).is_zero(), label
+                assert form.entries[i][j].is_zero(), label
 
 
 def test_symbolic_matches_numeric_everywhere(catalog_samples):
@@ -276,8 +285,8 @@ def test_fast_rank_path_matches_exact_rank(catalog_samples):
 
 
 def test_fast_rank_path_survives_int64_overflow():
-    # covector entries far beyond the int64 guard force the exact
-    # big-integer fallback, which must agree with exact elimination
+    # covector entries far beyond the int64 guard force the residue path
+    # modulo primes, which must agree with exact elimination
     big = 2 ** 40
     g = build("5.2.2", FamilyParams(lambdas=(2,)))
     covs = [
@@ -286,10 +295,12 @@ def test_fast_rank_path_survives_int64_overflow():
         (0, 0, 0, 0, big),
         (big, 0, 0, 0, 0),
     ]
-    covs = [tuple(F(x) for x in c) for c in covs]
-    fast = grid_ranks(g, covs)
-    slow = [mat_rank(b_form_at(g, f)) for f in covs]
-    assert fast == slow
+    # the second batch has a row beyond int64, so it arrives as Python integers
+    for batch in (covs, covs + [(big ** 2, 1, -big, 3, big + 5)]):
+        batch = [tuple(F(x) for x in c) for c in batch]
+        fast = grid_ranks(g, batch)
+        slow = [mat_rank(b_form_at(g, f)) for f in batch]
+        assert fast == slow
 
 
 def test_fast_rank_path_huge_structure_constants():
@@ -299,6 +310,43 @@ def test_fast_rank_path_huge_structure_constants():
     fast = grid_ranks(g, covs)
     slow = [mat_rank(b_form_at(g, f)) for f in covs]
     assert fast == slow
+
+
+@pytest.mark.parametrize("first, second", [
+    # P = q1 q2 q3: at e5 every entry and sub-Pfaffian vanishes modulo the
+    # first three primes, but not exactly
+    (slice(0, 3), slice(0, 3)),
+    # the sub-Pfaffian q1 q2 q3 q4 f5^2 vanishes modulo primes whose product
+    # passes the entry bound L*m, so only the Pfaffian bound decides it
+    (slice(0, 2), slice(2, 4)),
+], ids=["P_P", "q1q2_q3q4"])
+def test_residue_path_takes_primes_until_their_product_passes_the_bound(first, second):
+    # [X1,X2] = a X5 and [X3,X4] = b X5 with X5 central: rank 4 off f5 = 0
+    primes = list(islice(kirillov._primes(), 4))
+    g = LieAlgebra.from_brackets(5, [(1, 2, {5: prod(primes[first])}),
+                                     (3, 4, {5: prod(primes[second])})])
+    assert orbit_dim(g, [0, 0, 0, 0, 1]) == 4
+    grid = GridSpec(radius=1)
+    covs = grid_covectors(grid, 5)
+    assert grid_ranks(g, covs) == [mat_rank(b_form_at(g, f)) for f in covs]
+    profile = rank_profile(g, grid)
+    assert (profile.histogram, profile.witnesses) == _oracle_profile(g, grid)
+
+
+def test_residue_primes_are_the_primes_below_2_30_largest_first():
+    primes = list(islice(kirillov._primes(), 12))
+    assert all(is_prime(q) for q in primes)
+    # strictly decreasing, and no prime is skipped
+    for high, low in zip([2 ** 30] + primes, primes):
+        assert low < high and not any(is_prime(q) for q in range(low + 1, high))
+
+
+def test_importing_the_cli_searches_no_primes():
+    code = "import liemd.cli, liemd.kirillov as k; print(len(k._PRIMES))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "0"
 
 
 def _oracle_profile(g, grid):
@@ -316,7 +364,8 @@ def aff_r():
 
 @pytest.mark.parametrize("make", [
     lambda: aff_r().direct_sum(aff_r()),
-    # beyond int64 and with two denominators: the exact object path
+    # beyond int64 and with two denominators: outside dimension 5 the
+    # engine takes exact Python-integer ranks
     lambda: LieAlgebra.from_brackets(4, [(1, 2, {2: 2 ** 80}), (3, 4, {4: F(1, 3)})]),
     lambda: g51().direct_sum(LieAlgebra.abelian(1)),
 ], ids=["aff_r_squared", "aff_r_squared_huge", "g51_plus_r"])
@@ -577,6 +626,19 @@ def test_rank_vector_peak_memory_is_flat_in_the_radius():
 
     # radius 6 has 22x the points of radius 3
     assert peak(6) <= 2 * peak(3)
+
+
+def test_rank_vector_beyond_int64_takes_no_more_memory_than_int64():
+    def peak(g):
+        g.kirillov.pfaffians  # built outside the traced region
+        tracemalloc.start()
+        try:
+            g.kirillov.rank_vector(GridSpec(radius=4))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(basis_changed_538()) <= 2 * peak(g538())
 
 
 def test_random_tail_is_held_as_integer_draws():
