@@ -1,11 +1,13 @@
 """Exact rational linear algebra kernels.
 
 Everything in this module is exact: scalars are arbitrary-precision
-rationals (``fractions.Fraction``), and one fraction-free elimination,
-``MatrixQ.rref``, is the only row reduction: ranks, kernels, solves,
-inverses and Krylov annihilators all go through it.  Similarity classes
-are decided through the rational (Frobenius) canonical form.  No floating
-point appears anywhere.
+rationals (``fractions.Fraction``) or Python integers, and one
+fraction-free elimination on integer rows, ``rref_int``, is the only row
+reduction.  ``MatrixQ.rref`` clears its rows and runs it, so ranks,
+kernels, solves, inverses and Krylov annihilators all go through it, and
+``lie_core.Subspace`` keeps its primitive integer rows without building a
+``Fraction``.  Similarity classes are decided through the rational
+(Frobenius) canonical form.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class MatrixQ:
         return MatrixQ([[ZERO] * cols for _ in range(rows)], cols)
 
     @staticmethod
-    def identity(n: int) -> "MatrixQ":
-        return MatrixQ([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]]) -> "MatrixQ":
         n = len(columns[0])
         return MatrixQ([[columns[j][i] for j in range(len(columns))] for i in range(n)],
@@ -144,9 +142,6 @@ class MatrixQ:
     def __getitem__(self, pair):
         i, j = pair
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
@@ -184,50 +179,19 @@ class MatrixQ:
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple["MatrixQ", tuple[int, ...]]:
-        """Reduced row-echelon form and the pivot column indices.
-
-        Fraction-free Gauss-Jordan: every row is cleared to Python integers,
-        a pivot row r eliminates column c from row i by the two-term update
-        a*row_i - b*row_r followed by division by the row's content, and
-        each pivot row is divided by its pivot once, at the end.  Scaling a
-        row never changes the reduced form, so the result is exact.
+        """Reduced row-echelon form and the pivot column indices: ``rref_int``
+        on the rows cleared to integers, each pivot row divided by its pivot.
+        Scaling a row never changes the reduced form, so the result is exact.
         """
-        m = [clear_denominators(row)[1] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    g = gcd(m[r][c], m[i][c])
-                    a, b = m[r][c] // g, m[i][c] // g
-                    row = [a * x - b * y for x, y in zip(m[i], m[r])]
-                    content = gcd(*row)
-                    m[i] = [x // content for x in row] if content > 1 else row
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        out = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-        out += [[ZERO] * self.cols for _ in range(self.rows - r)]
-        return MatrixQ(out, self.cols), tuple(pivots)
+        rows, pivots = rref_int([clear_denominators(row)[1] for row in self.data], self.cols)
+        out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+        out += [[ZERO] * self.cols for _ in range(self.rows - len(pivots))]
+        return MatrixQ(out, self.cols), pivots
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the right kernel, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            vec = [ZERO] * self.cols
-            vec[fc] = ONE
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.data[r][fc]
-            basis.append(tuple(vec))
-        return basis
+        """Basis of the right kernel, one vector per free column, 1 there."""
+        den, basis = nullspace_int([clear_denominators(row)[1] for row in self.data], self.cols)
+        return [tuple(Fraction(x, den) for x in vec) for vec in basis]
 
     def solve(self, rhs: Sequence[Scalar]) -> tuple[Fraction, ...] | None:
         """One exact solution of self @ x = rhs, or None if inconsistent."""
@@ -252,6 +216,54 @@ class MatrixQ:
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
         return MatrixQ([row[n:] for row in red.data])
+
+
+def rref_int(m: list[list[int]], cols: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan on integer rows, which it overwrites.
+
+    A pivot row r eliminates column c from row i by the two-term update
+    a*row_i - b*row_r followed by division by the row's content.  Returns
+    the pivot rows, each the reduced row-echelon row scaled to coprime
+    integers with a positive pivot, and the pivot column indices.
+    """
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                g = gcd(m[r][c], m[i][c])
+                a, b = m[r][c] // g, m[i][c] // g
+                row = [a * x - b * y for x, y in zip(m[i], m[r])]
+                content = gcd(*row)
+                m[i] = [x // content for x in row] if content > 1 else row
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(m, pivots):
+        content = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append([x // content for x in row] if content != 1 else row)
+    return out, tuple(pivots)
+
+
+def nullspace_int(m: list[list[int]], cols: int) -> tuple[int, list[list[int]]]:
+    """(d, vectors): d > 0 times the kernel basis of ``MatrixQ.nullspace``,
+    in integers; the rows of m are overwritten."""
+    rows, pivots = rref_int(m, cols)
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[fc] = den
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * (den // row[pc])
+        basis.append(vec)
+    return den, basis
 
 
 def mat_rank(m: MatrixQ) -> int:
@@ -598,11 +610,6 @@ class PolyQ:
         return PolyQ(nvars, {(0,) * nvars: Fraction(value)})
 
     @staticmethod
-    def variable(index: int, nvars: int) -> "PolyQ":
-        expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return PolyQ(nvars, {expo: ONE})
-
-    @staticmethod
     def linear_form(coeffs: Sequence[Scalar]) -> "PolyQ":
         n = len(coeffs)
         terms = {}
@@ -665,24 +672,6 @@ class PolyQ:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        values = [Fraction(x) for x in point]
-        total = ZERO
-        for expo, coef in self.terms.items():
-            term = coef
-            for x, e in zip(values, expo):
-                for _ in range(e):
-                    term *= x
-            total += term
-        return total
 
     def __repr__(self):
         if not self.terms:

@@ -256,10 +256,10 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
     G^1 = [X, G^1] for the probe X, so ad_X is invertible on G^1 and its
     constant characteristic coefficient is nonzero.
     """
-    if a.dim != b.dim:
-        return IsoResult(kind="NotIso", field="dim")
     a.require_jacobi()
     b.require_jacobi()
+    if a.dim != b.dim:
+        return IsoResult(kind="NotIso", field="dim")
     probe_a, g1a = _codim1_probe(a)
     probe_b, g1b = _codim1_probe(b)
     factors_a = tuple(a.frobenius_on_derived(probe_a)[0])

@@ -12,6 +12,10 @@ brackets and the Jacobi check run, Jacobi status, derived and lower central
 series, center, centralizer of G^1, the action of ad on G^1 and its
 Frobenius decomposition, and the Kirillov-form data owned by ``kirillov``)
 is a ``functools.cached_property`` computed at most once.
+
+A ``Subspace`` keeps primitive integer rows from ``exact.rref_int``.  The
+series, center, centralizers, intersections and ad on G^1 run on them, and
+build a ``Fraction`` only for a returned value.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -29,7 +34,9 @@ from .exact import (
     clear_denominators,
     format_rational,
     frobenius_form,
+    nullspace_int,
     parse_rational,
+    rref_int,
     scaled_frobenius,
 )
 
@@ -51,85 +58,85 @@ def _as_vector(values: Sequence, dim: int) -> Vector:
     return vec
 
 
-class Subspace:
-    """A subspace of Q^n held in reduced row-echelon form.
+def _cleared(values: Sequence, dim: int) -> tuple[int, list[int]]:
+    """(d, d * values) in integers for the least d > 0; integer input
+    passes through without building a Fraction."""
+    if len(values) == dim and all(type(v) is int for v in values):
+        return 1, list(values)
+    return clear_denominators(_as_vector(values, dim))
 
-    The RREF rows are a canonical spanning set, so two Subspace values are
-    equal iff they describe the same subspace.
+
+class Subspace:
+    """A subspace of Q^n held as primitive integer rows.
+
+    ``int_rows`` are the reduced row-echelon rows, each scaled to coprime
+    integers with a positive pivot.  They are a canonical spanning set, so
+    two Subspace values are equal iff they describe the same subspace.
+    ``basis()`` gives the RREF rows as Fractions, built on first use.
     """
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "int_rows", "pivots", "_basis")
 
     def __init__(self, ambient: int, rows: Sequence[Sequence] = ()):
-        vectors = [_as_vector(r, ambient) for r in rows]
-        if vectors:
-            red, pivots = MatrixQ(vectors).rref()
-            kept = [red.row(i) for i in range(len(pivots))]
-        else:
-            kept, pivots = [], ()
+        red, self.pivots = rref_int([_cleared(r, ambient)[1] for r in rows], ambient)
         self.ambient = ambient
-        self.rows = tuple(kept)
-        self.pivots = tuple(pivots)
+        self.int_rows = tuple(map(tuple, red))
+        self._basis = None
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient == other.ambient
-                and self.rows == other.rows)
+                and self.int_rows == other.int_rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.int_rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-    def contains(self, vec: Sequence) -> bool:
-        return self.coordinates(vec) is not None
+    def _holds(self, v: Sequence[int]) -> bool:
+        """Whether the integer vector v lies in the subspace.  Its RREF
+        coordinates are its pivot entries v[p_r], so v belongs iff
+        L v = sum_r v[p_r] (L / P_r[p_r]) P_r, with L clearing the pivots."""
+        den = lcm(*(row[c] for row, c in zip(self.int_rows, self.pivots)))
+        rest = [den * x for x in v]
+        for row, c in zip(self.int_rows, self.pivots):
+            f = v[c] * (den // row[c])
+            if f:
+                rest = [x - f * y for x, y in zip(rest, row)]
+        return not any(rest)
 
-    def coordinates(self, vec: Sequence) -> Vector | None:
-        """Coefficients of vec over the RREF basis, or None if outside."""
-        v = list(_as_vector(vec, self.ambient))
-        coords = []
-        for row, pivot in zip(self.rows, self.pivots):
-            c = v[pivot]
-            coords.append(c)
-            if c != 0:
-                for k in range(self.ambient):
-                    v[k] -= c * row[k]
-        if any(x != 0 for x in v):
-            return None
-        return tuple(coords)
+    def contains(self, vec: Sequence) -> bool:
+        return self._holds(_cleared(vec, self.ambient)[1])
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The RREF rows as Fractions."""
+        if self._basis is None:
+            self._basis = tuple(tuple(Fraction(x, row[c]) for x in row)
+                                for row, c in zip(self.int_rows, self.pivots))
+        return self._basis
 
     def basis(self) -> tuple[Vector, ...]:
         return self.rows
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if not self.rows or not other.rows:
-            return Subspace(self.ambient)
-        # solve x*A = y*B: kernel of [A^T | -B^T]
-        cols = [list(row) for row in self.rows] + [[-x for x in row] for row in other.rows]
-        stacked = MatrixQ.from_columns(cols)
-        vectors = []
-        for sol in stacked.nullspace():
-            coeffs = sol[: len(self.rows)]
-            vec = [ZERO] * self.ambient
-            for c, row in zip(coeffs, self.rows):
-                for k in range(self.ambient):
-                    vec[k] += c * row[k]
-            vectors.append(vec)
-        return Subspace(self.ambient, vectors)
-
-    def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
+        # solve x*A = y*B: kernel of [A^T | -B^T]
+        cols = self.int_rows + tuple(tuple(-x for x in row) for row in other.int_rows)
+        sols = nullspace_int([list(r) for r in zip(*cols)], len(cols))[1]
+        return Subspace(self.ambient, [
+            [sum(c * row[k] for c, row in zip(sol, self.int_rows)) for k in range(self.ambient)]
+            for sol in sols])
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, MatrixQ.identity(ambient).data)
+        return Subspace(ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)])
 
 
 class AdOperator:
@@ -222,22 +229,19 @@ class LieAlgebra:
 
     def bracket(self, u: Sequence, v: Sequence) -> Vector:
         """Bilinear antisymmetric extension of the structure constants."""
-        du, uu = clear_denominators(_as_vector(u, self.dim))
-        dv, vv = clear_denominators(_as_vector(v, self.dim))
-        den, terms = self._int_table
+        du, uu = _cleared(u, self.dim)
+        dv, vv = _cleared(v, self.dim)
+        return _over(self._int_bracket(uu, vv), self._int_table[0] * du * dv)
+
+    def _int_bracket(self, uu: Sequence[int], vv: Sequence[int]) -> list[int]:
+        """D [u, v] for integer coordinates u, v, D the table's denominator."""
         out = [0] * self.dim
-        for i, j, coeffs in terms:
+        for i, j, coeffs in self._int_table[1]:
             factor = uu[i] * vv[j] - uu[j] * vv[i]
             if factor:
                 for k, c in coeffs:
                     out[k] += factor * c
-        return _over(out, den * du * dv)
-
-    def brackets_with_basis(self, u: Sequence) -> list[Vector]:
-        """[u, X_k] for every k, clearing u once."""
-        du, uu = clear_denominators(_as_vector(u, self.dim))
-        den = self._int_table[0] * du
-        return [_over(self._int_with_basis(uu, k), den) for k in range(self.dim)]
+        return out
 
     def _int_with_basis(self, uu: Sequence[int], k: int) -> list[int]:
         """D [u, X_k] for integer coordinates u, D the table's denominator."""
@@ -292,14 +296,18 @@ class LieAlgebra:
     # -- series, center, centralizer -------------------------------------------
 
     def span_of_brackets(self, left: Subspace, right: Subspace) -> Subspace:
+        """Span of [u, v] over the integer rows u of left and v of right;
+        each image is D times the bracket, which leaves the span unchanged."""
         if left.dim == self.dim:
             # [G, s] = [s, G]: swapping the sides negates every bracket
             left, right = right, left
         if right.dim == self.dim:
-            images = (w for u in left.basis() for w in self.brackets_with_basis(u))
+            images = (self._int_with_basis(u, k) for u in left.int_rows for k in range(self.dim))
+        elif left == right:  # [u, u] = 0 and [v, u] = -[u, v]
+            images = (self._int_bracket(u, v) for u, v in combinations(left.int_rows, 2))
         else:
-            images = (self.bracket(u, v) for u in left.basis() for v in right.basis())
-        return Subspace(self.dim, [w for w in images if any(x != 0 for x in w)])
+            images = (self._int_bracket(u, v) for u in left.int_rows for v in right.int_rows)
+        return Subspace(self.dim, [w for w in images if any(w)])
 
     def _series(self, step) -> tuple[Subspace, ...]:
         """G, G^1, then step(last term) until the dimension stabilizes."""
@@ -346,17 +354,15 @@ class LieAlgebra:
         return self._derived_ideal
 
     def centralizer(self, s: Subspace) -> Subspace:
-        """{u : [u, v] = 0 for every v in s}, as a kernel computation."""
+        """{u : [u, v] = 0 for every v in s}, as an integer kernel."""
         if s.ambient != self.dim:
             raise ValueError("subspace has wrong ambient dimension")
-        if s.dim == 0:
-            return Subspace.full(self.dim)
         blocks = []
-        for v in s.basis():
-            # row block: u -> [u, v], columns are [X_i, v] = -[v, X_i]
-            cols = [tuple(-x for x in w) for w in self.brackets_with_basis(v)]
-            blocks.extend(MatrixQ.from_columns(cols).data)
-        return Subspace(self.dim, MatrixQ(blocks).nullspace())
+        for v in s.int_rows:
+            # row block: u -> D [v, u], whose column i is D [v, X_i]
+            cols = [self._int_with_basis(v, i) for i in range(self.dim)]
+            blocks.extend(map(list, zip(*cols)))
+        return Subspace(self.dim, nullspace_int(blocks, self.dim)[1])
 
     @cached_property
     def _center(self) -> Subspace:
@@ -379,19 +385,20 @@ class LieAlgebra:
     # -- adjoint operators ------------------------------------------------------
 
     def ad_restricted(self, x: Sequence, s: Subspace) -> AdOperator:
-        """Matrix of ad_x on an invariant subspace, in its RREF basis."""
+        """Matrix of ad_x on an invariant subspace, in its RREF basis.
+
+        With d clearing x, column r is the pivot entries of the integer
+        image w = D d [x, P_r] of the row P_r of s, over D d P_r[p_r]."""
         xx = _as_vector(x, self.dim)
+        dx, cx = clear_denominators(xx)
+        den = self._int_table[0] * dx
         cols = []
-        for v in s.basis():
-            image = self.bracket(xx, v)
-            coords = s.coordinates(image)
-            if coords is None:
+        for row, c in zip(s.int_rows, s.pivots):
+            w = self._int_bracket(cx, row)
+            if not s._holds(w):
                 raise ValueError("subspace is not invariant under ad_x")
-            cols.append(coords)
-        if s.dim == 0:
-            matrix = MatrixQ.zero(0, 0)
-        else:
-            matrix = MatrixQ.from_columns(cols)
+            cols.append([Fraction(w[p], den * row[c]) for p in s.pivots])
+        matrix = MatrixQ.from_columns(cols) if cols else MatrixQ.zero(0, 0)
         return AdOperator(xx, s, matrix)
 
     @cached_property
@@ -405,13 +412,14 @@ class LieAlgebra:
 
     @cached_property
     def _ad_stack(self) -> list[list[list[int]]]:
-        """stack[r][k][i] is entry (r, k) of D ad_{X_i} on G^1, where D > 0
-        clears every ad_{X_i} on G^1 to integers."""
-        d, n = self._derived_ideal.dim, self.dim
-        flat = clear_denominators([m[r, k] for r in range(d) for k in range(d)
-                                   for m in self._ad_on_derived])[1]
-        return [[flat[(r * d + k) * n:(r * d + k + 1) * n] for k in range(d)]
-                for r in range(d)]
+        """stack[r][k][i] is entry (r, k) of D L ad_{X_i} on G^1, with L the
+        lcm of the pivots of the rows P_k of G^1: as in ``ad_restricted``,
+        column k of ad_{X_i} is the pivot entries of D [X_i, P_k] over D P_k[p_k]."""
+        s = self._derived_ideal
+        den = lcm(*(row[c] for row, c in zip(s.int_rows, s.pivots)))
+        images = [[self._int_with_basis(row, i) for i in range(self.dim)] for row in s.int_rows]
+        return [[[-w[p] * (den // row[c]) for w in images[k]]  # [X_i, P_k] = -[P_k, X_i]
+                 for k, (row, c) in enumerate(zip(s.int_rows, s.pivots))] for p in s.pivots]
 
     def derived_ideal_commutative(self) -> bool:
         return self._derived_ideal_commutative
@@ -452,14 +460,14 @@ class LieAlgebra:
 
         Refuses to run when the derived ideal is not commutative, since the
         guarantee only holds under that hypothesis.  Works on integers: with
-        D clearing every ad_{X_i} on G^1 and d_x clearing x, the matrix
-        sum_i (d_x x_i) (D ad_{X_i}) is D d_x ad_x, and positive multiples
+        E = D L clearing every ad_{X_i} on G^1 and d_x clearing x, the matrix
+        sum_i (d_x x_i) (E ad_{X_i}) is E d_x ad_x, and positive multiples
         commute exactly when ad_x and ad_y do.
         """
         if not self._derived_ideal_commutative:
             raise ValueError("derived ideal is not commutative")
         stack = self._ad_stack
-        cx, cy = (clear_denominators(_as_vector(v, self.dim))[1] for v in (x, y))
+        cx, cy = (_cleared(v, self.dim)[1] for v in (x, y))
         ax = [[sum(map(mul, cx, entry)) for entry in row] for row in stack]
         ay = [[sum(map(mul, cy, entry)) for entry in row] for row in stack]
         return _int_product(ax, ay) == _int_product(ay, ax)

@@ -5,8 +5,11 @@ permutation-expansion determinants, rank by exhaustive minor enumeration,
 matrix products by the triple loop, reduced row-echelon form (hence kernel
 dimension) by plain Gaussian elimination with division, brackets, the
 Jacobi identity and basis changes expanded from ``g.brackets`` over
-``Fraction``s, the covector grid enumerated point by point as
-``Fraction``s, and primality by trial division.  They exist so that every
+``Fraction``s, subspaces as ``rref`` rows of ``Fraction``s (spans,
+kernels, coordinates by solving, intersections, and from them the series,
+centralizers and ad on an invariant subspace), the covector grid
+enumerated point by point as ``Fraction``s, polynomial values term by
+term, and primality by trial division.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
 ``frobenius_form``, Kirillov form and grid rank engine, and tests use them
@@ -195,6 +198,85 @@ def change_of_basis_table(g, p) -> dict:
     return table
 
 
+def span(rows, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """RREF rows of the span of ``rows`` in Q^n: the nonzero rows of ``rref``."""
+    if not rows:
+        return ()
+    red, pivots = rref(rows)
+    return tuple(tuple(row) for row in red[:len(pivots)])
+
+
+def kernel(rows, n: int) -> list[list[Fraction]]:
+    """Basis of {x in Q^n : row . x = 0 for every row}, one vector per free
+    column of ``rref``, holding 1 there."""
+    red, pivots = rref(rows) if rows else ([], ())
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(n)]
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def coordinates(basis, vec):
+    """The c with sum_r c_r basis_r = vec, solved by ``rref`` of the
+    augmented system, or None when vec is outside the span."""
+    m = len(basis)
+    system = [[row[k] for row in basis] + [Fraction(x)] for k, x in enumerate(vec)]
+    red, pivots = rref(system)
+    if m in pivots:
+        return None
+    coords = [Fraction(0)] * m
+    for row, pc in zip(red, pivots):
+        coords[pc] = row[m]
+    return tuple(coords)
+
+
+def intersection(a, b, n: int):
+    """span(a) and span(b) meet in the x A with (x, y) in the kernel of
+    [A^T | -B^T]."""
+    system = [[row[k] for row in a] + [-row[k] for row in b] for k in range(n)]
+    sols = kernel(system, len(a) + len(b))
+    return span([[sum(c * row[k] for c, row in zip(sol, a)) for k in range(n)]
+                 for sol in sols], n)
+
+
+def bracket_span(g, left, right):
+    """RREF rows of the span of [u, v] over u in ``left``, v in ``right``."""
+    return span([bracket(g, u, v) for u in left for v in right], g.dim)
+
+
+def series(g, step):
+    """G, G^1 = [G, G], then step(last term) until the dimension stabilizes."""
+    full = span([[int(i == j) for j in range(g.dim)] for i in range(g.dim)], g.dim)
+    terms, nxt = [full], bracket_span(g, full, full)
+    while len(nxt) != len(terms[-1]):
+        terms.append(nxt)
+        if not nxt:
+            break
+        nxt = step(nxt)
+    return terms
+
+
+def centralizer(g, s):
+    """RREF rows of {u : [u, v] = 0 for every v in ``s``}: the kernel of
+    the rows m of the maps u -> [u, v]."""
+    n = g.dim
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[bracket(g, e[i], v)[m] for i in range(n)] for v in s for m in range(n)]
+    return span(kernel(rows, n), n)
+
+
+def ad_matrix(g, x, s) -> list[list[Fraction]]:
+    """ad_x on the span of the RREF rows ``s``, in that basis: column r holds
+    the coordinates of [x, s_r], or None when s is not invariant."""
+    cols = [coordinates(s, bracket(g, x, v)) for v in s]
+    if any(c is None for c in cols):
+        return None
+    return [[col[r] for col in cols] for r in range(len(s))]
+
+
 def is_prime(q: int) -> bool:
     """Primality by trial division by every d with d * d <= q."""
     return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
@@ -216,6 +298,11 @@ def grid_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def identity(n: int) -> MatrixQ:
+    """The n x n identity matrix."""
+    return MatrixQ([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(tI - M), coefficients ascending.
 
@@ -226,7 +313,7 @@ def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
     n = m.rows
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    aux = MatrixQ.identity(n)
+    aux = identity(n)
     for k in range(1, n + 1):
         mk = m @ aux
         trace = sum(mk.data[i][i] for i in range(n))
@@ -237,10 +324,24 @@ def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def poly_evaluate(p, point) -> Fraction:
+    """Value of a ``PolyQ`` at a point, term by term over ``Fraction``s."""
+    if len(point) != p.nvars:
+        raise ValueError("point arity mismatch")
+    values = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for expo, coef in p.terms.items():
+        term = coef
+        for x, e in zip(values, expo):
+            term *= x ** e
+        total += term
+    return total
+
+
 def poly_eval_matrix(p, m: MatrixQ) -> MatrixQ:
     """p(M) for ascending coefficients p, summing scaled powers of M."""
     result = MatrixQ.zero(m.rows, m.cols)
-    power = MatrixQ.identity(m.rows)
+    power = identity(m.rows)
     for c in poly_trim(p):
         if c != 0:
             result = MatrixQ([[a + c * b for a, b in zip(ra, rb)]

@@ -68,18 +68,18 @@ def test_build_central_double_extension():
 
 def test_build_group3_column_action():
     g = build("5.3.5", FamilyParams(lambdas=(2,)))
-    assert g.brackets_with_basis(g.basis_vector(0))[1] == (0, 0, 1, 0, 0)   # [X1,X2] = X3
-    assert g.brackets_with_basis(g.basis_vector(1))[2] == (0, 0, 2, 0, 0)   # [X2,X3] = 2 X3
-    assert g.brackets_with_basis(g.basis_vector(1))[3] == (0, 0, 0, 1, 0)   # [X2,X4] = X4
-    assert g.brackets_with_basis(g.basis_vector(1))[4] == (0, 0, 0, 1, 1)   # [X2,X5] = X4 + X5
+    assert g.bracket(g.basis_vector(0), g.basis_vector(1)) == (0, 0, 1, 0, 0)   # [X1,X2] = X3
+    assert g.bracket(g.basis_vector(1), g.basis_vector(2)) == (0, 0, 2, 0, 0)   # [X2,X3] = 2 X3
+    assert g.bracket(g.basis_vector(1), g.basis_vector(3)) == (0, 0, 0, 1, 0)   # [X2,X4] = X4
+    assert g.bracket(g.basis_vector(1), g.basis_vector(4)) == (0, 0, 0, 1, 1)   # [X2,X5] = X4 + X5
 
 
 def test_build_rejected_specimens():
     g = build("rejected.5.2.3")
-    assert g.brackets_with_basis(g.basis_vector(0))[1] == (0, 0, 0, 0, 1)
-    assert g.brackets_with_basis(g.basis_vector(2))[3] == (0, 0, 0, 1, 0)
+    assert g.bracket(g.basis_vector(0), g.basis_vector(1)) == (0, 0, 0, 0, 1)
+    assert g.bracket(g.basis_vector(2), g.basis_vector(3)) == (0, 0, 0, 1, 0)
     h = build("rejected.3.2a")
-    assert h.brackets_with_basis(h.basis_vector(0))[1] == (0, 0, 0, 0, 0)
+    assert h.bracket(h.basis_vector(0), h.basis_vector(1)) == (0, 0, 0, 0, 0)
     assert h.ad_restricted(h.basis_vector(0), h.derived_ideal()).matrix == \
         MatrixQ([[1, 0, 0], [0, 2, 0], [0, 0, 0]])
     assert h.ad_restricted(h.basis_vector(1), h.derived_ideal()).matrix == \
@@ -88,8 +88,8 @@ def test_build_rejected_specimens():
 
 def test_rotation_family_uses_unit_point():
     g = build("5.3.8", FamilyParams(lambdas=(2,), angle=A1))
-    assert g.brackets_with_basis(g.basis_vector(1))[2] == (0, 0, F(3, 5), F(4, 5), 0)
-    assert g.brackets_with_basis(g.basis_vector(1))[3] == (0, 0, F(-4, 5), F(3, 5), 0)
+    assert g.bracket(g.basis_vector(1), g.basis_vector(2)) == (0, 0, F(3, 5), F(4, 5), 0)
+    assert g.bracket(g.basis_vector(1), g.basis_vector(3)) == (0, 0, F(-4, 5), F(3, 5), 0)
 
 
 # ---------------------------------------------------------------------------

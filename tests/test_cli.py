@@ -408,6 +408,21 @@ def test_iso_command_precondition_exit2(tmp_path, capsys):
     assert main(["iso", a, a]) == 2
 
 
+def test_iso_command_checks_jacobi_before_dimensions(tmp_path, capsys):
+    # [X1,X2] = X3, [X1,X3] = X1 fails Jacobi at (1, 2, 3); that its dimension
+    # differs from the 5.3.8 sample's must not answer NotIso
+    bad = LieAlgebra.from_brackets(3, [(1, 2, {3: 1}), (1, 3, {1: 1})])
+    a = write_algebra(tmp_path / "a.json", bad)
+    b = write_algebra(tmp_path / "b.json", build("5.3.8", parse_params("l=2,angle=3/5:4/5")))
+    assert main(["check", a]) == 3
+    capsys.readouterr()
+    for args in ([a, b], [b, a], [a, b, "--json"]):
+        assert main(["iso", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Jacobi identity fails at triple (1, 2, 3)" in captured.err
+
+
 def test_separate_default_json_matches_golden(capsys):
     assert main(["separate", "default", "--json"]) == 0
     assert capsys.readouterr().out == golden("separate_default.json")

@@ -3,12 +3,13 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import oracles
-from liemd.catalog import build
+from liemd.catalog import build, parse_params
 from liemd.exact import MatrixQ
 from liemd.lie_core import LieAlgebra, Subspace, transport_covector
 from conftest import random_invertible, random_rational
@@ -34,7 +35,7 @@ def g534():
 def test_from_brackets_builds_nilpotent_example():
     g = g51()
     assert g.dim == 5
-    assert g.brackets_with_basis(g.basis_vector(0))[1] == (0, 0, 0, 0, 1)
+    assert g.bracket(g.basis_vector(0), g.basis_vector(1)) == (0, 0, 0, 0, 1)
     assert g.is_lie
 
 
@@ -107,14 +108,15 @@ def rational_invertible(rng: random.Random, n: int) -> MatrixQ:
 
 
 def assert_matches_oracles(g: LieAlgebra, rng: random.Random, changes: int = 3):
-    """bracket, brackets_with_basis, jacobi_check and change_of_basis of g
-    against the Fraction oracles, on seeded rational vectors and basis changes."""
+    """bracket (of two vectors, and of a vector with each basis vector),
+    jacobi_check and change_of_basis of g against the Fraction oracles, on
+    seeded rational vectors and basis changes."""
     for _ in range(3):
         u = [random_rational(rng) for _ in range(g.dim)]
         v = [random_rational(rng) for _ in range(g.dim)]
         assert g.bracket(u, v) == oracles.bracket(g, u, v)
-        assert g.brackets_with_basis(u) == [oracles.bracket_with_basis(g, u, k)
-                                            for k in range(g.dim)]
+        assert [g.bracket(u, g.basis_vector(k)) for k in range(g.dim)] == [
+            oracles.bracket_with_basis(g, u, k) for k in range(g.dim)]
     assert g.jacobi_check() == oracles.jacobi_failure(g)
     for _ in range(changes):
         p = rational_invertible(rng, g.dim)
@@ -233,6 +235,116 @@ def test_solvability():
         3, [(1, 2, {3: 1}), (1, 3, {1: -2}), (2, 3, {2: 2})])
     assert sl2ish.is_lie
     assert not sl2ish.is_solvable()
+
+
+# ---------------------------------------------------------------------------
+# integer-row subspaces against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def beyond_int64_538() -> LieAlgebra:
+    """A 5.3.8 sample moved by a basis change with entries near 2^70, so its
+    structure constants and the integer rows of its subspaces pass int64."""
+    big = 2 ** 70
+    p = [[int(i == j) for j in range(5)] for i in range(5)]
+    p[0][2], p[1][4], p[3][1], p[4][0] = big - 1, 3 * big + 5, F(big + 7, 3), -2
+    return build("5.3.8", parse_params("l=2,angle=3/5:4/5")).change_of_basis(MatrixQ(p))
+
+
+def assert_structure_matches_oracle(g: LieAlgebra):
+    """Series, center, centralizer of G^1, the invariant line
+    [C_G(G^1), G] ∩ G^1 and ad on G^1, each against ``oracles``."""
+    full = oracles.span([g.basis_vector(i) for i in range(g.dim)], g.dim)
+    g1 = oracles.bracket_span(g, full, full)
+    assert [s.basis() for s in g.derived_series()] == oracles.series(
+        g, lambda s: oracles.bracket_span(g, s, s))
+    assert [s.basis() for s in g.lower_central_series()] == oracles.series(
+        g, lambda s: oracles.bracket_span(g, full, s))
+    assert g.center().basis() == oracles.centralizer(g, full)
+    cent = oracles.centralizer(g, g1)
+    assert g.derived_centralizer().basis() == cent
+    line = g.span_of_brackets(g.derived_centralizer(), Subspace.full(g.dim)).intersection(
+        g.derived_ideal())
+    assert line.basis() == oracles.intersection(oracles.bracket_span(g, cent, full), g1, g.dim)
+    assert [m.data for m in g.ad_on_derived()] == [
+        tuple(map(tuple, oracles.ad_matrix(g, e, g1))) for e in full]
+
+
+def test_subspaces_match_the_fraction_oracle(catalog_algebras):
+    rng = random.Random(14)
+    for _, g in catalog_algebras:
+        assert_structure_matches_oracle(g)
+        for _ in range(3):
+            assert_structure_matches_oracle(g.change_of_basis(rational_invertible(rng, 5)))
+    big = beyond_int64_538()
+    assert max(abs(x) for row in big.derived_ideal().int_rows for x in row) >= 2 ** 63
+    assert_structure_matches_oracle(big)
+
+
+def test_subspace_value_does_not_depend_on_the_spanning_set():
+    rng = random.Random(15)
+    for trial in range(60):
+        scale = 2 ** 70 + 1 if trial % 4 == 0 else 1
+        rows = [[random_rational(rng) * scale for _ in range(5)]
+                for _ in range(rng.randint(0, 4))]
+        s = Subspace(5, rows)
+        assert s.basis() == oracles.span(rows, 5)
+        for row, c in zip(s.int_rows, s.pivots):
+            assert gcd(*row) == 1 and row[c] > 0
+        scalars = [F(rng.choice([-3, -1, 2, 7]), rng.randint(1, 5)) for _ in rows]
+        scaled = [[c * x for x in row] for c, row in zip(scalars, rows)]
+        coeffs = [rng.randint(-4, 4) for _ in rows]
+        combination = [sum((c * row[k] for c, row in zip(coeffs, rows)), F(0))
+                       for k in range(5)]
+        for other in (scaled, rng.sample(rows, len(rows)),
+                      rows + [combination, [0] * 5] + rows[:1]):
+            t = Subspace(5, other)
+            assert t == s and hash(t) == hash(s)
+        assert s.contains(combination)
+        for j in range(5):  # the combination moved along X_{j+1}
+            probe = combination[:j] + [combination[j] + 1] + combination[j + 1:]
+            inside = oracles.coordinates(s.basis(), probe) is not None
+            assert s.contains(probe) == inside
+            assert (Subspace(5, rows + [probe]) == s) == inside
+
+
+def test_structural_path_builds_no_fraction(catalog_algebras, monkeypatch):
+    # the series, the center and the centralizer of G^1 of a fresh
+    # presentation run on integer rows once the structure constants are cleared
+    rng = random.Random(16)
+    fresh = [LieAlgebra.from_dict(g.change_of_basis(rational_invertible(rng, 5)).to_dict())
+             for _, g in catalog_algebras]
+    fresh.append(LieAlgebra.from_dict(beyond_int64_538().to_dict()))
+    for g in fresh:
+        assert g._int_table
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    if hasattr(F, "_from_coprime_ints"):  # from 3.12 arithmetic bypasses __new__
+        coprime = F._from_coprime_ints
+
+        def counting_coprime(cls, numerator, denominator):
+            built.append((numerator, denominator))
+            return coprime(numerator, denominator)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
+    F(1, 3) + F(1, 2)
+    assert len(built) >= 3  # two constructions and the sum are counted
+    built.clear()
+    def dims(g):
+        return (g.derived_dims(), g.lower_central_dims(), g.center().dim,
+                g.derived_centralizer().dim)
+
+    moved = [dims(g) for g in fresh]
+    monkeypatch.undo()
+    assert built == []
+    originals = [g for _, g in catalog_algebras]
+    originals.append(build("5.3.8", parse_params("l=2,angle=3/5:4/5")))
+    assert moved == [dims(g) for g in originals]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +468,7 @@ def test_ad_commute_refuses_noncommutative_derived_ideal():
 
 def test_change_of_basis_identity():
     g = g534()
-    assert g.change_of_basis(MatrixQ.identity(5)).brackets == g.brackets
+    assert g.change_of_basis(oracles.identity(5)).brackets == g.brackets
 
 
 def test_change_of_basis_scaling_central_direction():
