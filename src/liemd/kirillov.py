@@ -10,30 +10,33 @@ witnesses that are re-verified at emission time, and sampling alone can at
 most produce ``Inconclusive`` evidence.
 
 ``KirillovData`` holds the per-algebra facts of this module: the symbolic
-form, its sub-Pfaffians, the integer rank engine and one int8 rank vector
-per grid.  It is reached as ``g.kirillov`` and built once per algebra.  The
+form, its sub-Pfaffians, the integer rank engine and the rank strata of
+each grid.  It is reached as ``g.kirillov`` and built once per algebra.  The
 engine reads the structure constants over one common denominator D, so each
 evaluated entry is D*b_ij and each sub-Pfaffian D^2 times its value; no
 rank changes.  Past int64, dimension 5 works modulo primes below 2^30 whose
 product exceeds a bound on every value: exact by the CRT (see ``ranks_int``).
 
-Grid scans are integer-native: ``GridSpec.integer_chunks`` yields the grid
-as int64 rows a bounded chunk at a time, and exact ``Fraction`` covectors
-are built (through ``GridSpec.covector``) only for the witnesses reported.
-Each grid is scanned once per algebra: the MD verdict, the rank profile
-and the maximality check all read its cached rank vector.
+The MD verdict, the rank profile and the maximality check read one cached
+dict of rank strata per grid, {rank: (first index, count)}: counted exactly
+from ann(G^1) under a structural verdict, with no scan and no numpy, else by
+one scan of the int64 rows of ``GridSpec.integer_chunks``.  ``Fraction``
+covectors are built (by ``GridSpec.covector``) only for reported witnesses.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count
-from typing import Iterator, Sequence
+from itertools import combinations, count, product, repeat
+from operator import floordiv, mul, not_
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .exact import (
     MatrixQ,
@@ -70,6 +73,7 @@ MAX_GRID_POINTS = 10 ** 8
 def _primes() -> Iterator[int]:
     """Primes below 2^30, largest first, memoised in ``_PRIMES``: an odd q
     with 2^15 < q < 2^30 is prime iff no odd 3 <= d < 2^15 divides it."""
+    import numpy as np
     for k in count():
         if k == len(_PRIMES):
             top = _PRIMES[-1] if _PRIMES else 2 ** 30 + 1
@@ -80,16 +84,10 @@ def _primes() -> Iterator[int]:
 
 def _residues(a: np.ndarray, q: int, rows=slice(None)) -> np.ndarray:
     """a[rows] modulo q as int64; a holds int64 or Python integers."""
+    import numpy as np
     if a.dtype == object:
         a = np.fromiter((v % q for v in a.flat), dtype=np.int64, count=a.size).reshape(a.shape)
     return a[rows] % q
-
-
-def as_covector(values: Sequence, dim: int) -> Covector:
-    vec = parse_vector(values)
-    if len(vec) != dim:
-        raise ValueError(f"covector must have {dim} coordinates, got {len(vec)}")
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +105,8 @@ class GridSpec:
 
     The grid is stored as integers only: box points are the digits of
     their index, and the random tail is drawn once per grid and dimension
-    into int64 numerator and denominator arrays.  Scans read int64 rows
-    through ``integer_chunks``; ``covector`` is the one place that builds
-    exact ``Fraction`` covectors.
+    into signed bytes.  Scans read int64 rows through ``integer_chunks``;
+    ``covector`` is the one place that builds exact ``Fraction`` covectors.
     """
 
     radius: int = 2
@@ -126,7 +123,10 @@ class GridSpec:
                              f"more than the limit of {MAX_GRID_POINTS}")
 
     def covectors(self, n: int) -> Iterator[Covector]:
-        return (self.covector(n, k) for k in range(self.count(n)))
+        for point in product(range(-self.radius, self.radius + 1), repeat=n):
+            yield tuple(map(Fraction, point))
+        for k in range(self._box_size(n), self.count(n)):
+            yield self.covector(n, k)
 
     def count(self, n: int) -> int:
         return self._box_size(n) + self.extra_random_samples
@@ -137,8 +137,9 @@ class GridSpec:
             raise IndexError(f"grid index {k} out of range")
         box = self._box_size(n)
         if k >= box:
-            num, den = self._tail(n)
-            return tuple(map(Fraction, num[k - box].tolist(), den[k - box].tolist()))
+            at = 2 * n * (k - box)
+            draws = self._tail(n)[at:at + 2 * n]
+            return tuple(map(Fraction, draws[0::2], draws[1::2]))
         base = 2 * self.radius + 1
         coords = []
         for _ in range(n):
@@ -152,8 +153,9 @@ class GridSpec:
         Row i of a chunk is a positive multiple of ``covector(n, start + i)``
         (box points are already integral, tail points have their
         denominators cleared), which leaves every rank unchanged.  The rank
-        engine is the one reader: every other scan reads its cached vector.
+        engine is the one reader: every other scan reads its cached strata.
         """
+        import numpy as np
         box = self._box_size(n)
         total = self.count(n)
         for start in range(0, total, GRID_CHUNK):
@@ -170,6 +172,7 @@ class GridSpec:
 
     def _box_rows(self, n: int, start: int, stop: int) -> np.ndarray:
         """Box points start..stop-1: the base-(2r+1) digits of their index."""
+        import numpy as np
         index = np.arange(start, stop, dtype=np.int64)
         rows = np.empty((len(index), n), dtype=np.int64)
         for j in reversed(range(n)):
@@ -179,28 +182,34 @@ class GridSpec:
     def _tail_rows(self, n: int, start: int, stop: int) -> np.ndarray:
         """Tail points start..stop-1 (counted from the tail's first point),
         each scaled by the lcm of its reduced denominators."""
-        num, den = (a[start:stop] for a in self._tail(n))
+        import numpy as np
+        draws = np.frombuffer(self._tail(n), dtype=np.int8)[2 * n * start:2 * n * stop]
+        num, den = (draws[i::2].reshape(-1, n).astype(np.int64) for i in (0, 1))
         lowest = den // np.gcd(num, den)
         rows = num * np.lcm.reduce(lowest, axis=1, keepdims=True, initial=1)
         rows //= den  # exact: the lcm is a multiple of each reduced denominator
         return rows
 
     @cached_property
-    def _tails(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def _tails(self) -> dict[int, array]:
         return {}
 
-    def _tail(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The random tail's numerators and denominators: read-only int64
-        views of one flat array of the draws, which alternate between them."""
+    def _tail(self, n: int) -> array:
+        """The random tail as signed bytes, per coordinate of each point a
+        numerator in -9..9 and a denominator in 1..9: ``rng.randint``'s values,
+        drawn as it draws them (5 or 4 bits, again while out of range)."""
         tail = self._tails.get(n)
         if tail is None:
-            rng = random.Random(self.seed)
-            size = self.extra_random_samples * n
-            draws = np.fromiter((rng.randint(low, 9) for _ in range(size) for low in (-9, 1)),
-                                dtype=np.int64, count=2 * size)
-            draws.setflags(write=False)
-            tail = self._tails[n] = tuple(draws[i::2].reshape(self.extra_random_samples, n)
-                                          for i in (0, 1))
+            bits = random.Random(self.seed).getrandbits
+            tail = self._tails[n] = array("b")
+            for _ in range(self.extra_random_samples * n):
+                num = bits(5)
+                while num >= 19:
+                    num = bits(5)
+                den = bits(4)
+                while den >= 9:
+                    den = bits(4)
+                tail.extend((num - 9, den + 1))
         return tail
 
 
@@ -211,7 +220,9 @@ class GridSpec:
 def b_form_at(g: LieAlgebra, f: Sequence) -> MatrixQ:
     """Matrix of the Kirillov form at F, entries b_ij = <F, [X_j, X_i]>."""
     g.require_jacobi()
-    cov = as_covector(f, g.dim)
+    cov = parse_vector(f)
+    if len(cov) != g.dim:
+        raise ValueError(f"covector must have {g.dim} coordinates, got {len(cov)}")
     n = g.dim
     m = [[ZERO] * n for _ in range(n)]
     for (i, j), coeffs in g.brackets.items():
@@ -276,8 +287,8 @@ class KirillovData:
     Built through ``g.kirillov`` (a cached property), so it lives exactly
     as long as its algebra.  It keeps the form and an integer copy of the
     structure constants rather than the algebra, which avoids a reference
-    cycle: row p of ``_linear`` holds D*b_ij as a linear form in F, for the
-    p-th pair i < j and one common denominator D.
+    cycle: row p of ``_rows`` (``_linear`` for numpy) holds D*b_ij as a
+    linear form in F, for the p-th pair i < j and one common denominator D.
     """
 
     def __init__(self, g: LieAlgebra):
@@ -288,10 +299,15 @@ class KirillovData:
         # b_ij = <F, [X_j, X_i]> = -<F, [X_i, X_j]> for i < j
         _, flat = clear_denominators(
             [-c for pair in self._pairs for c in g.brackets.get(pair, absent)])
-        self._linear = np.array(flat, dtype=object).reshape(len(self._pairs), n)
+        self._rows = [flat[p * n:(p + 1) * n] for p in range(len(self._pairs))]
         # L: the largest absolute row sum, so |entry| <= L * max|x|
-        self._bound = max((sum(map(abs, row)) for row in self._linear.tolist()), default=0)
-        self._ranks: dict[GridSpec, np.ndarray] = {}
+        self._bound = max((sum(map(abs, row)) for row in self._rows), default=0)
+        self.strata: dict[GridSpec, dict[int, tuple[int, int]]] = {}
+
+    @cached_property
+    def _linear(self) -> np.ndarray:
+        import numpy as np
+        return np.array(self._rows, dtype=object).reshape(len(self._pairs), self.form.dim)
 
     @cached_property
     def pfaffians(self) -> list[PolyQ]:
@@ -312,6 +328,7 @@ class KirillovData:
         and the constants reduced below q, an entry sums five products
         < 5q^2 < 2^63 and a Pfaffian product is < q^2 < 2^60.
         """
+        import numpy as np
         peak = self._bound * max(int(x.max(initial=0)), -int(x.min(initial=0)))
         n = self.form.dim
         if x.dtype == object or max(3 * peak * peak, self._bound) >= _INT64_SAFE:
@@ -334,6 +351,7 @@ class KirillovData:
         """``ranks_int`` modulo primes, peak = L*m.  Rows leave at their first
         nonzero residue of a live sub-Pfaffian (one not identically zero;
         rank 4) or, with none live (B = L*m), of an entry (rank 2)."""
+        import numpy as np
         live = [k for k, p in enumerate(self.pfaffians) if not p.is_zero()]
         bound = max(3 * peak * peak, peak) if live else peak
         ranks, todo = np.zeros(len(x), dtype=np.int8), np.arange(len(x))
@@ -362,16 +380,14 @@ class KirillovData:
         """Read-only int8 ranks over the whole grid, in enumeration order.
 
         The grid is scanned one integer chunk at a time; only the rank
-        vector itself grows with the grid.
+        vector itself grows with the grid, and ``_strata`` keeps its strata.
         """
-        ranks = self._ranks.get(grid)
-        if ranks is None:
-            n = self.form.dim
-            ranks = np.empty(grid.count(n), dtype=np.int8)
-            for start, rows in grid.integer_chunks(n):
-                ranks[start:start + len(rows)] = self.ranks_int(rows)
-            ranks.setflags(write=False)
-            self._ranks[grid] = ranks
+        import numpy as np
+        n = self.form.dim
+        ranks = np.empty(grid.count(n), dtype=np.int8)
+        for start, rows in grid.integer_chunks(n):
+            ranks[start:start + len(rows)] = self.ranks_int(rows)
+        ranks.setflags(write=False)
         return ranks
 
 
@@ -399,17 +415,60 @@ def rank_profile(g: LieAlgebra, grid: GridSpec = GridSpec()) -> RankProfile:
     reported for one presentation and never used to compare algebras.
     """
     g.require_jacobi()
-    strata = _rank_strata(g.kirillov.rank_vector(grid))
+    strata = _strata(g, grid)
     histogram = {r: count for r, (_, count) in strata.items()}
     witnesses = {r: grid.covector(g.dim, first) for r, (first, _) in strata.items()}
     return RankProfile(histogram, witnesses)
 
 
-def _rank_strata(ranks: np.ndarray) -> dict[int, tuple[int, int]]:
-    """Each rank on the grid: the index of its first point and its count.
+def _strata(g: LieAlgebra, grid: GridSpec) -> dict[int, tuple[int, int]]:
+    """Each rank on the grid: the index of its first point and its count, found
+    once per grid, from ann(G^1) under a structural verdict, else by a scan."""
+    cache = g.kirillov.strata
+    if grid not in cache:
+        verdict = _structural_verdict(g)
+        cache[grid] = (_rank_strata(g.kirillov.rank_vector(grid)) if verdict is None else
+                       _annihilator_strata(g.derived_ideal().int_rows, grid, g.dim,
+                                           verdict.max_dim))
+    return cache[grid]
 
-    One boolean mask at a time, so the scan needs a byte per grid point.
+
+def _annihilator_strata(rows: Sequence[Sequence[int]], grid: GridSpec, n: int,
+                        max_dim: int) -> dict[int, tuple[int, int]]:
+    """Exact strata, no point ranked, when the rank is 0 on ann(G^1) and
+    max_dim off it; the integer ``rows`` span G^1.  With K > 2|v.x| for each
+    row v and grid point x (a tail point times 2520 = lcm(1..9); r <= 19),
+    w = sum K^i v_i has w.x = 0 iff x is in ann(G^1).  Box: prefixes in order
+    meet a table of suffix sums (count, first suffix).  Point 0 is the first
+    point off ann(G^1), or else point 0 + e_j is, j the last coordinate w reads.
     """
+    r = grid.radius
+    side = range(-r, r + 1)
+    scale = 2 * 9 * 2520 * max((sum(map(abs, v)) for v in rows), default=0) + 1
+    w = [sum(v[j] * scale ** i for i, v in enumerate(rows)) for j in range(n)]
+    split = n // 2
+    suffixes: dict[int, list] = {}  # w.suffix -> [count, first suffix]
+    for point in product(side, repeat=n - split):
+        suffixes.setdefault(sum(map(mul, w[split:], point)), [0, point])[0] += 1
+    hits = [(prefix, entry) for prefix in product(side, repeat=split)
+            if (entry := suffixes.get(-sum(map(mul, w[:split], prefix))))]
+    zero, first = sum(entry[0] for _, entry in hits), hits[0][0] + hits[0][1][1]
+    draws = grid._tail(n)
+    cols = [map(floordiv, map(mul, draws[2 * j::2 * n], repeat(c * 2520)),
+                draws[2 * j + 1::2 * n]) for j, c in enumerate(w) if c]
+    zero += sum(map(not_, map(sum, zip(*cols)))) if cols else grid.extra_random_samples
+    strata = {0: (sum((x + r) * len(side) ** (n - 1 - j) for j, x in enumerate(first)), zero)}
+    if zero < grid.count(n):
+        last = max(j for j, c in enumerate(w) if c)
+        strata[max_dim] = (len(side) ** (n - 1 - last) if sum(w) == 0 else 0,
+                           grid.count(n) - zero)
+    return strata
+
+
+def _rank_strata(ranks: np.ndarray) -> dict[int, tuple[int, int]]:
+    """``_strata`` of a rank vector, one boolean mask at a time, so the scan
+    needs a byte per grid point."""
+    import numpy as np
     counts = np.bincount(ranks)
     return {int(value): (int(np.argmax(ranks == value)), int(counts[value]))
             for value in np.flatnonzero(counts)}
@@ -480,22 +539,10 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
     if g.dim != 5:
         raise ValueError("MD analysis is implemented for dimension 5 only")
 
-    g1 = g.derived_ideal()
-    if g1.dim == 0:
-        return MDVerdict(kind="IsMD", max_dim=0, proof="zero-form")
-
-    if all(p.is_zero() for p in g.kirillov.pfaffians):
-        return MDVerdict(kind="IsMD", max_dim=2, proof="pfaffian-vanishing")
-
-    if g1.dim == 1:
-        # G^1 = span{z}: B(F) = ell(F) * L with ell(F) = <F, z> and L a
-        # constant skew matrix, so the rank is rank L wherever ell != 0,
-        # as at e_k for the pivot k of z
-        max_dim = mat_rank(b_form_at(g, g.basis_vector(g1.pivots[0])))
-        return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
-
-    ranks = g.kirillov.rank_vector(grid)
-    strata = _rank_strata(ranks)
+    verdict = _structural_verdict(g)
+    if verdict is not None:
+        return verdict
+    strata = _strata(g, grid)
     nonzero = sorted(r for r in strata if r > 0)
     if len(nonzero) >= 2:
         low, high = nonzero[0], nonzero[-1]
@@ -510,8 +557,25 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         kind="Inconclusive",
         max_rank_attained=top,
         pfaffian_status="nonzero",
-        samples_tested=len(ranks),
+        samples_tested=grid.count(g.dim),
     )
+
+
+def _structural_verdict(g: LieAlgebra) -> MDVerdict | None:
+    """Rules 1-3 of ``md_check`` (rule 2 in dimension 5 only), or None: each
+    proves rank B_F = ``max_dim`` off ann(G^1), where B_F = 0 always."""
+    g1 = g.derived_ideal()
+    if g1.dim == 0:
+        return MDVerdict(kind="IsMD", max_dim=0, proof="zero-form")
+    if g.dim == 5 and all(p.is_zero() for p in g.kirillov.pfaffians):
+        return MDVerdict(kind="IsMD", max_dim=2, proof="pfaffian-vanishing")
+    if g1.dim == 1:
+        # G^1 = span{z}: B(F) = ell(F) * L with ell(F) = <F, z> and L a
+        # constant skew matrix, so the rank is rank L wherever ell != 0,
+        # as at e_k for the pivot k of z
+        max_dim = mat_rank(b_form_at(g, g.basis_vector(g1.pivots[0])))
+        return MDVerdict(kind="IsMD", max_dim=max_dim, proof="common-factor")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +590,8 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
     violating covector.  Requires an IsMD verdict unless ``max_dim`` is
     supplied explicitly (as done for discrepancy reporting).  B_F = 0
     exactly when F vanishes on G^1 = span{[X_i, X_j]}, so the violators are
-    the grid points whose cached rank is neither 0 nor ``max_dim``.
+    the grid points whose rank is neither 0 nor ``max_dim``: the first is
+    read off the strata, which a structural verdict counts without a scan.
     """
     g.require_jacobi()
     if max_dim is None:
@@ -534,10 +599,5 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
         if verdict.kind != "IsMD":
             raise ValueError("maximality check requires an IsMD verdict")
         max_dim = verdict.max_dim
-    if g.derived_ideal().dim == 0:
-        return None
-    ranks = g.kirillov.rank_vector(grid)
-    violating = (ranks != 0) & (ranks != max_dim)
-    if not violating.any():
-        return None
-    return grid.covector(g.dim, int(np.argmax(violating)))
+    firsts = [first for r, (first, _) in _strata(g, grid).items() if r not in (0, max_dim)]
+    return grid.covector(g.dim, min(firsts)) if firsts else None

@@ -152,20 +152,47 @@ def test_check_json_matches_golden(family, params, tmp_path, monkeypatch, capsys
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_check_scans_the_grid_without_numpy_ma(tmp_path):
-    # rejected.5.2.3 is NotMD, so check scans the grid; -X importtime logs
-    # every module the process imports, so numpy.ma never enters sys.modules
-    write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
+def run_importtime(args, cwd):
+    """stdout of a ``python -X importtime`` run of ``args``, and every module
+    it imported: -X importtime logs each module the process imports."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "liemd.cli", "check", "algebra.json",
-         "--json"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0
-    assert run.stdout == golden("check_rejected.5.2.3.json")
-    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
-                if line.startswith("import time:")]
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    return run.stdout, [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                        if line.startswith("import time:")]
+
+
+def test_check_scans_the_grid_without_numpy_ma(tmp_path):
+    # rejected.5.2.3 is NotMD, so check scans the grid; numpy.ma never
+    # enters sys.modules
+    write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
+    stdout, imported = run_importtime(["-m", "liemd.cli", "check", "algebra.json", "--json"],
+                                      tmp_path)
+    assert stdout == golden("check_rejected.5.2.3.json")
     assert "numpy" in imported
     assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
+def test_only_a_grid_scan_imports_numpy(tmp_path):
+    # a structural verdict counts its rank strata without numpy; a NotMD
+    # algebra is scanned, and the scan does import it
+    write_algebra(tmp_path / "538.json", build("5.3.8", parse_params("l=2,angle=3/5:4/5")))
+    write_algebra(tmp_path / "545.json", build("5.4.5"))
+    write_algebra(tmp_path / "rejected.json", build("rejected.5.2.3"))
+    cli_args = ["-m", "liemd.cli"]
+    without = [
+        ["-c", "import liemd.cli"],
+        cli_args + ["check", "538.json", "--json", "--grid-radius", "6"],
+        cli_args + ["orbit-dim", "538.json", "--f", "1,2,3,4,5"],
+        cli_args + ["catalog", "build", "5.4.5"],
+        cli_args + ["iso", "545.json", "545.json"],
+    ]
+    for args in without:
+        _, imported = run_importtime(args, tmp_path)
+        assert "liemd.kirillov" in imported, args
+        assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")], args
+    assert "numpy" in run_importtime(cli_args + ["check", "rejected.json", "--json"], tmp_path)[1]
 
 
 def test_liemd_never_calls_np_unique():
@@ -193,7 +220,9 @@ def test_check_radius4_json_matches_golden(name, algebra, tmp_path, monkeypatch,
     assert capsys.readouterr().out == golden(f"check_r4_{name}.json")
 
 
-def test_analyze_computes_each_fact_once(monkeypatch):
+def analyze_counting(monkeypatch, family, params=""):
+    """``cli._analyze`` on a catalog sample at the default grid, counting
+    derived-ideal builds, md_check calls, rank-engine calls and grid passes."""
     counts = {"G1": 0, "md_check": 0, "rank_vector": 0, "grid_pass": 0}
 
     def counted(name, fn):
@@ -214,12 +243,25 @@ def test_analyze_computes_each_fact_once(monkeypatch):
     monkeypatch.setattr(cli, "md_check", md_check)
     monkeypatch.setattr(kirillov.KirillovData, "ranks_int",
                         counted("rank_vector", kirillov.KirillovData.ranks_int))
-    # the rank vector is the only scan of the grid; maximality reads it
     monkeypatch.setattr(GridSpec, "integer_chunks",
                         counted("grid_pass", GridSpec.integer_chunks))
-    g = build("5.3.8", parse_params("l=2,angle=3/5:4/5"))
-    record = cli._analyze(g, GridSpec())
+    record = cli._analyze(build(family, parse_params(params)), GridSpec())
+    return record, counts
+
+
+def test_analyze_computes_each_fact_once(monkeypatch):
+    # a structural IsMD verdict: the rank strata are counted from ann(G^1),
+    # so no grid point is ranked
+    record, counts = analyze_counting(monkeypatch, "5.3.8", "l=2,angle=3/5:4/5")
     assert record["md"]["verdict"] == "IsMD" and record["maximality"] == "holds"
+    assert counts == {"G1": 1, "md_check": 1, "rank_vector": 0, "grid_pass": 0}
+
+
+def test_analyze_scans_a_nonstructural_grid_once(monkeypatch):
+    # NotMD: the grid is scanned once, and md_check and the profile read
+    # the strata of that scan
+    record, counts = analyze_counting(monkeypatch, "rejected.5.2.3")
+    assert record["md"]["verdict"] == "NotMD" and record["maximality"] is None
     assert counts == {"G1": 1, "md_check": 1, "rank_vector": 1, "grid_pass": 1}
 
 

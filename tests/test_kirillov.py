@@ -568,6 +568,40 @@ def test_maximality_matches_the_fraction_oracle(catalog_algebras):
     assert 0 < violated < 3 * len(algebras)
 
 
+def derived_line_e1_minus_e2():
+    # G^1 = span{e1 - e2} holds grid index 0, (-r, ..., -r), so the first
+    # point of the maximal rank comes after a run of points of rank 0
+    return LieAlgebra.from_brackets(5, [(3, 4, {1: 1, 2: -1})])
+
+
+def test_structural_strata_match_the_scan(catalog_algebras):
+    # under a structural verdict the strata are counted from ann(G^1); the
+    # oracle is the rank engine's scan of every grid point
+    rng = random.Random(31)
+    algebras = [g for _, g in catalog_algebras if kirillov._structural_verdict(g)]
+    assert len(algebras) == 38
+    # one basis change each: dense G^1 rows, pivots other than 1
+    algebras += [g.change_of_basis(random_invertible(rng, 5)) for g in algebras]
+    assert any(row[p] > 1 for g in algebras[38:]
+               for row, p in zip(g.derived_ideal().int_rows, g.derived_ideal().pivots))
+    algebras += [LieAlgebra.abelian(5), derived_line_e1_minus_e2()]
+    # the box at each radius; the random tail, which the seed draws, at two
+    grids = [GridSpec(radius, 0) for radius in (1, 2, 3, 4)]
+    grids += [GridSpec(radius, samples, seed)
+              for radius in (1, 2) for samples in (5, 200) for seed in (1, 7)]
+    for g in algebras:
+        max_dim = kirillov._structural_verdict(g).max_dim
+        for grid in grids:
+            scanned = kirillov._rank_strata(g.kirillov.rank_vector(grid))
+            assert kirillov._strata(g, grid) == scanned
+            # a max_dim that does not match: the first violator is the first
+            # point of the true maximal rank
+            first = grid.covector(5, scanned[max_dim][0]) if max_dim else None
+            for other in {0, 2, 4} - {max_dim}:
+                assert nonvanishing_maximality_check(g, grid, other) == first
+    assert kirillov._strata(algebras[-1], GridSpec(radius=3))[2][0] == 7 ** 3
+
+
 def test_maximality_requires_ismd():
     with pytest.raises(ValueError, match="IsMD"):
         nonvanishing_maximality_check(g523())
