@@ -267,8 +267,8 @@ def nullspace_int(m: list[list[int]], cols: int) -> tuple[int, list[list[int]]]:
 
 
 def mat_rank(m: MatrixQ) -> int:
-    """Exact rank: the number of pivots of the reduced row-echelon form."""
-    return len(m.rref()[1])
+    """Exact rank: the number of pivots of ``rref_int`` on the cleared rows."""
+    return len(rref_int([clear_denominators(row)[1] for row in m.data], m.cols)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
         g.derived_centralizer().dim,
     )
     verdict = md_check(g, grid)
-    pf_zero = all(p.is_zero() for p in g.kirillov.pfaffians)
+    pf_zero = not any(map(any, g.kirillov.quadrics))
     kirillov = (verdict.kind, verdict.max_dim, pf_zero)
 
     mats = g.ad_on_derived()

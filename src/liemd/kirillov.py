@@ -9,34 +9,33 @@ every entry is a multiple of one linear form), ``NotMD`` carries two rank
 witnesses that are re-verified at emission time, and sampling alone can at
 most produce ``Inconclusive`` evidence.
 
-``KirillovData`` holds the per-algebra facts of this module: the symbolic
-form, its sub-Pfaffians, the integer rank engine and the rank strata of
-each grid.  It is reached as ``g.kirillov`` and built once per algebra.  The
-engine reads the structure constants over one common denominator D, so each
-evaluated entry is D*b_ij and each sub-Pfaffian D^2 times its value; no
-rank changes.  Past int64, dimension 5 works modulo primes below 2^30 whose
-product exceeds a bound on every value: exact by the CRT (see ``ranks_int``).
+``KirillovData`` holds the per-algebra facts of this module.  It is reached
+as ``g.kirillov`` and built once per algebra.  B_F depends on F only
+through u = V.F, where V holds the primitive integer rows of G^1 and
+d = dim G^1 <= 4: D*b(F) = T.u for an integer matrix T and one common
+denominator D.  In dimension 5 the five sub-Pfaffians are integer quadrics
+in u, so the rank at F is read from u alone: 0 at u = 0, else 4 where a
+quadric is nonzero and 2 where all vanish.
 
 The MD verdict, the rank profile and the maximality check read one cached
-dict of rank strata per grid, {rank: (first index, count)}: counted exactly
-from ann(G^1) under a structural verdict, with no scan and no numpy, else by
-one scan of the int64 rows of ``GridSpec.integer_chunks``.  ``Fraction``
-covectors are built (by ``GridSpec.covector``) only for reported witnesses.
+dict of rank strata per grid, {rank: (first index, count)}, which
+``_count_strata`` counts without ranking the grid point by point (see
+there).  ``Fraction`` covectors are built (by ``GridSpec.covector``) only
+for reported witnesses.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, count, product, repeat
-from operator import floordiv, mul, not_
-from typing import TYPE_CHECKING, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
+from math import gcd, isqrt, lcm
+from operator import add, mul, ne, not_, or_
+from typing import Iterator, Sequence
 
 from .exact import (
     MatrixQ,
@@ -52,42 +51,36 @@ from .lie_core import LieAlgebra
 
 Covector = tuple[Fraction, ...]
 
-# ceiling for the numpy int64 fast path (see ``KirillovData.ranks_int``)
-_INT64_SAFE = 2 ** 62
-
-_PRIMES: list[int] = []  # primes below 2^30, largest first, found on first use
-
 # per dropped index: where b12..b34 of its 4x4 principal slice sit among i < j
 _SLICES = [[p for p, pair in enumerate(combinations(range(5), 2)) if dropped not in pair]
            for dropped in range(5)]
 
-# rows per grid chunk: a grid scan holds one chunk at a time, so its working
-# memory does not grow with the radius
-GRID_CHUNK = 1 << 14
-
-# most points (box plus random tail, in dimension 5) a grid may have; the
-# rank vector holds one byte per point and a scan visits every one
+# most points (box plus random tail, in dimension 5) a grid may have.  A
+# non-structural algebra with dim G^1 >= 3 still tests every box point, in
+# passes of ``map`` at about 0.5 us a point on a 2-vCPU VM: some 45 s at
+# this bound.  Every other box is counted in time that grows like its
+# radius cubed, not like its points.
 MAX_GRID_POINTS = 10 ** 8
 
+# most random tail points: the tail is drawn in Python (about 2 us and
+# 10 bytes a point in dimension 5) and then classified TAIL_CHUNK points at
+# a time, so 10^6 points take a few seconds and about 10 MB
+MAX_TAIL_SAMPLES = 10 ** 6
+TAIL_CHUNK = 1 << 12
 
-def _primes() -> Iterator[int]:
-    """Primes below 2^30, largest first, memoised in ``_PRIMES``: an odd q
-    with 2^15 < q < 2^30 is prime iff no odd 3 <= d < 2^15 divides it."""
-    import numpy as np
-    for k in count():
-        if k == len(_PRIMES):
-            top = _PRIMES[-1] if _PRIMES else 2 ** 30 + 1
-            _PRIMES.append(next(q for q in range(top - 2, 2 ** 15, -2)
-                                if (q % np.arange(3, 2 ** 15, 2)).all()))
-        yield _PRIMES[k]
+# lcm(1..9), a multiple of every tail denominator: scaling a tail point by
+# it makes the point integral and leaves its rank unchanged
+_TAIL_SCALE = 2520
 
+# a top byte t of a generator word as a tail numerator (t >> 3) - 9 or
+# denominator (t >> 4) + 1, as a byte
+_NUMERATORS = bytes(((t >> 3) - 9) & 0xFF for t in range(256))
+_DENOMINATORS = bytes((t >> 4) + 1 for t in range(256))
 
-def _residues(a: np.ndarray, q: int, rows=slice(None)) -> np.ndarray:
-    """a[rows] modulo q as int64; a holds int64 or Python integers."""
-    import numpy as np
-    if a.dtype == object:
-        a = np.fromiter((v % q for v in a.flat), dtype=np.int64, count=a.size).reshape(a.shape)
-    return a[rows] % q
+# a tail (numerator, denominator) pair, read as one native 16-bit word: its
+# value times _TAIL_SCALE
+_SCALED = {int.from_bytes(bytes((num & 0xFF, den)), sys.byteorder): num * _TAIL_SCALE // den
+           for num in range(-9, 10) for den in range(1, 10)}
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +98,7 @@ class GridSpec:
 
     The grid is stored as integers only: box points are the digits of
     their index, and the random tail is drawn once per grid and dimension
-    into signed bytes.  Scans read int64 rows through ``integer_chunks``;
+    into signed bytes, read in integer columns by ``tail_columns``;
     ``covector`` is the one place that builds exact ``Fraction`` covectors.
     """
 
@@ -121,6 +114,9 @@ class GridSpec:
         if self.count(5) > MAX_GRID_POINTS:
             raise ValueError(f"grid has {self.count(5)} points in dimension 5, "
                              f"more than the limit of {MAX_GRID_POINTS}")
+        if self.extra_random_samples > MAX_TAIL_SAMPLES:
+            raise ValueError(f"{self.extra_random_samples} extra samples requested, "
+                             f"more than the limit of {MAX_TAIL_SAMPLES}")
 
     def covectors(self, n: int) -> Iterator[Covector]:
         for point in product(range(-self.radius, self.radius + 1), repeat=n):
@@ -147,69 +143,48 @@ class GridSpec:
             coords.append(Fraction(digit - self.radius))
         return tuple(reversed(coords))
 
-    def integer_chunks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
-        """The grid as (start, rows) pairs of at most GRID_CHUNK int64 rows.
-
-        Row i of a chunk is a positive multiple of ``covector(n, start + i)``
-        (box points are already integral, tail points have their
-        denominators cleared), which leaves every rank unchanged.  The rank
-        engine is the one reader: every other scan reads its cached strata.
-        """
-        import numpy as np
-        box = self._box_size(n)
-        total = self.count(n)
-        for start in range(0, total, GRID_CHUNK):
-            stop = min(start + GRID_CHUNK, total)
-            parts = []
-            if start < box:
-                parts.append(self._box_rows(n, start, min(stop, box)))
-            if stop > box:
-                parts.append(self._tail_rows(n, max(start, box) - box, stop - box))
-            yield start, parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def tail_columns(self, n: int) -> Iterator[list[list[int]]]:
+        """The random tail, TAIL_CHUNK points at a time, as n integer columns:
+        each point times ``_TAIL_SCALE``, which leaves every rank unchanged."""
+        pairs = self._tail(n).cast("H")  # one (numerator, denominator) each
+        step = TAIL_CHUNK * n
+        for start in range(0, len(pairs), step):
+            yield [list(map(_SCALED.__getitem__, pairs[start + j:start + step:n]))
+                   for j in range(n)]
 
     def _box_size(self, n: int) -> int:
         return (2 * self.radius + 1) ** n
 
-    def _box_rows(self, n: int, start: int, stop: int) -> np.ndarray:
-        """Box points start..stop-1: the base-(2r+1) digits of their index."""
-        import numpy as np
-        index = np.arange(start, stop, dtype=np.int64)
-        rows = np.empty((len(index), n), dtype=np.int64)
-        for j in reversed(range(n)):
-            index, rows[:, j] = np.divmod(index, 2 * self.radius + 1)
-        return rows - self.radius
-
-    def _tail_rows(self, n: int, start: int, stop: int) -> np.ndarray:
-        """Tail points start..stop-1 (counted from the tail's first point),
-        each scaled by the lcm of its reduced denominators."""
-        import numpy as np
-        draws = np.frombuffer(self._tail(n), dtype=np.int8)[2 * n * start:2 * n * stop]
-        num, den = (draws[i::2].reshape(-1, n).astype(np.int64) for i in (0, 1))
-        lowest = den // np.gcd(num, den)
-        rows = num * np.lcm.reduce(lowest, axis=1, keepdims=True, initial=1)
-        rows //= den  # exact: the lcm is a multiple of each reduced denominator
-        return rows
-
     @cached_property
-    def _tails(self) -> dict[int, array]:
+    def _tails(self) -> dict[int, memoryview]:
         return {}
 
-    def _tail(self, n: int) -> array:
+    def _tail(self, n: int) -> memoryview:
         """The random tail as signed bytes, per coordinate of each point a
         numerator in -9..9 and a denominator in 1..9: ``rng.randint``'s values,
-        drawn as it draws them (5 or 4 bits, again while out of range)."""
+        drawn as it draws them.  randint(-9, 9) takes the top 5 bits of one
+        32-bit word of the generator, again while they are 19 or more, and
+        randint(1, 9) the top 4 bits, again while they are 9 or more: a top
+        byte below 152, then one below 144.  ``getrandbits(32 * k)`` returns
+        the next k words, the first in the lowest bits."""
         tail = self._tails.get(n)
         if tail is None:
-            bits = random.Random(self.seed).getrandbits
-            tail = self._tails[n] = array("b")
-            for _ in range(self.extra_random_samples * n):
-                num = bits(5)
-                while num >= 19:
-                    num = bits(5)
-                den = bits(4)
-                while den >= 9:
-                    den = bits(4)
-                tail.extend((num - 9, den + 1))
+            need = self.extra_random_samples * n
+            size = min(4 * need + 64, 1 << 16)
+            rng = random.Random(self.seed)
+            tops = chain.from_iterable(rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+                                       for k in repeat(size))
+            draws = bytearray()
+            for num in tops if need else ():
+                if num < 152:
+                    for den in tops:
+                        if den < 144:
+                            break
+                    draws.append(_NUMERATORS[num])
+                    draws.append(_DENOMINATORS[den])
+                    if len(draws) == 2 * need:
+                        break
+            tail = self._tails[n] = memoryview(draws).cast("b")
         return tail
 
 
@@ -224,9 +199,11 @@ def b_form_at(g: LieAlgebra, f: Sequence) -> MatrixQ:
     if len(cov) != g.dim:
         raise ValueError(f"covector must have {g.dim} coordinates, got {len(cov)}")
     n = g.dim
+    den, terms = g._int_table
+    scale, x = clear_denominators(cov)
     m = [[ZERO] * n for _ in range(n)]
-    for (i, j), coeffs in g.brackets.items():
-        value = sum(c * x for c, x in zip(coeffs, cov))
+    for i, j, coeffs in terms:
+        value = Fraction(sum(c * x[k] for k, c in coeffs), den * scale)
         # [X_j, X_i] = -[X_i, X_j] for i < j
         m[i][j] = -value
         m[j][i] = value
@@ -247,15 +224,14 @@ class SymbolicKirillovForm:
 
     __slots__ = ("dim", "entries")
 
-    def __init__(self, g: LieAlgebra):
-        g.require_jacobi()
-        n = g.dim
+    def __init__(self, n: int, upper: Sequence[Sequence]):
+        """``upper[p]`` holds the coefficients of b_ij for the p-th pair i < j."""
         zero = PolyQ.zero(n)
-        grid = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j), coeffs in g.brackets.items():
+        grid = [[zero] * n for _ in range(n)]
+        for (i, j), coeffs in zip(combinations(range(n), 2), upper):
             form = PolyQ.linear_form(coeffs)
-            grid[i][j] = -form
-            grid[j][i] = form
+            grid[i][j] = form
+            grid[j][i] = -form
         self.dim = n
         self.entries = tuple(tuple(row) for row in grid)
 
@@ -278,117 +254,266 @@ def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
 
 
 # ---------------------------------------------------------------------------
-# per-algebra facts and the integer rank engine
+# per-algebra facts: the form in G^1 coordinates
 # ---------------------------------------------------------------------------
 
 class KirillovData:
     """Kirillov-form facts of one algebra, each computed at most once.
 
     Built through ``g.kirillov`` (a cached property), so it lives exactly
-    as long as its algebra.  It keeps the form and an integer copy of the
-    structure constants rather than the algebra, which avoids a reference
-    cycle: row p of ``_rows`` (``_linear`` for numpy) holds D*b_ij as a
-    linear form in F, for the p-th pair i < j and one common denominator D.
+    as long as its algebra.  It keeps integer data rather than the algebra,
+    which avoids a reference cycle:
+      - ``v``: the primitive integer rows of G^1 (``Subspace.int_rows``);
+      - ``t``: row p is a d-vector with D*b_ij(F) = t[p].u for the p-th pair
+        i < j, u = V.F and one common denominator D;
+      - ``quadrics`` (dimension 5 only): D^2 times the sub-Pfaffian of each
+        principal 4x4 slice, a quadric in u, as its integer coefficients at
+        u_a*u_b for a <= b in ``combinations_with_replacement`` order.
+    Zero quadrics mean rule 2 of ``md_check``; the PolyQ form is built only
+    on request, for ``b_form_symbolic``.
     """
 
     def __init__(self, g: LieAlgebra):
-        self.form = SymbolicKirillovForm(g)  # requires the Jacobi identity
-        n = g.dim
-        self._pairs = list(combinations(range(n), 2))
+        g.require_jacobi()
+        g1 = g.derived_ideal()
+        n = self.dim = g.dim
+        self.v = g1.int_rows
         absent = (ZERO,) * n
-        # b_ij = <F, [X_j, X_i]> = -<F, [X_i, X_j]> for i < j
-        _, flat = clear_denominators(
-            [-c for pair in self._pairs for c in g.brackets.get(pair, absent)])
-        self._rows = [flat[p * n:(p + 1) * n] for p in range(len(self._pairs))]
-        # L: the largest absolute row sum, so |entry| <= L * max|x|
-        self._bound = max((sum(map(abs, row)) for row in self._rows), default=0)
+        # b_ij = -<F, [X_i, X_j]> for i < j.  Each cleared row lies in G^1,
+        # and its coordinate on row a of V is read at that row's pivot,
+        # where every other row of V is zero
+        den, flat = clear_denominators(
+            [-c for pair in combinations(range(n), 2) for c in g.brackets.get(pair, absent)])
+        lead = lcm(*(row[c] for row, c in zip(self.v, g1.pivots)))
+        self.t = [tuple(flat[p * n + c] * (lead // row[c]) for row, c in zip(self.v, g1.pivots))
+                  for p in range(n * (n - 1) // 2)]
+        self._den = den * lead
+        self.quadrics = [_quadric([self.t[p] for p in kept]) for kept in _SLICES] if n == 5 else []
         self.strata: dict[GridSpec, dict[int, tuple[int, int]]] = {}
 
     @cached_property
-    def _linear(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self._rows, dtype=object).reshape(len(self._pairs), self.form.dim)
+    def form(self) -> SymbolicKirillovForm:
+        cols = list(zip(*self.v)) or [()] * self.dim
+        return SymbolicKirillovForm(self.dim, [[Fraction(sum(map(mul, coords, col)), self._den)
+                                                for col in cols] for coords in self.t])
 
-    @cached_property
-    def pfaffians(self) -> list[PolyQ]:
-        return pfaffian_system(self.form)
-
-    def ranks_int(self, x: np.ndarray) -> np.ndarray:
-        """Exact ranks for integer covector rows (already cleared).
-
-        In dimension 5 a skew matrix has rank 4 iff one of its five
-        principal 4x4 sub-Pfaffians is nonzero, and rank >= 2 iff any entry
-        is nonzero; other dimensions take the exact rank of each integer
-        skew matrix.  With m the largest |x|, |entry| <= L*m and
-        |sub-Pfaffian| <= 3(L*m)^2.  int64 is used while these and L stay
-        below 2^62; beyond, other dimensions use exact Python integers and
-        dimension 5 residues modulo primes q < 2^30, taken until their
-        product passes B = max(3(L*m)^2, L*m): by the CRT a value |v| <= B
-        that vanishes modulo them is 0, so every rank stays exact.  With x
-        and the constants reduced below q, an entry sums five products
-        < 5q^2 < 2^63 and a Pfaffian product is < q^2 < 2^60.
-        """
-        import numpy as np
-        peak = self._bound * max(int(x.max(initial=0)), -int(x.min(initial=0)))
-        n = self.form.dim
-        if x.dtype == object or max(3 * peak * peak, self._bound) >= _INT64_SAFE:
-            if n == 5:
-                return self._ranks_mod(x, peak)
-            x = x.astype(object)
-        entries = x @ self._linear.astype(x.dtype).T
-        if n != 5:
-            return np.array([mat_rank(MatrixQ(self._skew(row, n))) for row in entries.tolist()],
-                            dtype=np.int8)
-        rank4 = np.zeros(len(x), dtype=bool)
-        for kept in _SLICES:
-            rank4 |= pfaffian4(*(entries[:, p] for p in kept)) != 0
-        ranks = np.zeros(len(x), dtype=np.int8)
-        ranks[(entries != 0).any(axis=1)] = 2
-        ranks[rank4] = 4
-        return ranks
-
-    def _ranks_mod(self, x: np.ndarray, peak: int) -> np.ndarray:
-        """``ranks_int`` modulo primes, peak = L*m.  Rows leave at their first
-        nonzero residue of a live sub-Pfaffian (one not identically zero;
-        rank 4) or, with none live (B = L*m), of an entry (rank 2)."""
-        import numpy as np
-        live = [k for k, p in enumerate(self.pfaffians) if not p.is_zero()]
-        bound = max(3 * peak * peak, peak) if live else peak
-        ranks, todo = np.zeros(len(x), dtype=np.int8), np.arange(len(x))
-        primes, product = _primes(), 1
-        while product <= bound and len(todo):
-            q = next(primes)
-            product *= q
-            entries = _residues(x, q, todo) @ _residues(self._linear, q).T
-            entries %= q
-            nonzero = (entries != 0).any(axis=1)
-            ranks[todo[nonzero]] = 2
-            done = np.zeros(len(todo), dtype=bool) if live else nonzero
-            for k in live:
-                done |= pfaffian4(*(entries[:, p] for p in _SLICES[k])) % q != 0
-            ranks[todo[done]] = 4 if live else 2
-            todo = todo[~done]
-        return ranks
-
-    def _skew(self, upper: Sequence[int], n: int) -> list[list[int]]:
+    def rank(self, u: Sequence[int]) -> int:
+        """rank B_F for every F with V.F = u."""
+        if not any(u):
+            return 0  # F vanishes on G^1
+        if self.dim == 5:
+            return 4 if any(_value(q, u) for q in self.quadrics) else 2
+        n = self.dim
         m = [[0] * n for _ in range(n)]
-        for value, (i, j) in zip(upper, self._pairs):
-            m[i][j], m[j][i] = value, -value
-        return m
+        for (i, j), row in zip(combinations(range(n), 2), self.t):
+            m[i][j] = sum(map(mul, row, u))
+            m[j][i] = -m[i][j]
+        return mat_rank(MatrixQ(m))
 
-    def rank_vector(self, grid: GridSpec) -> np.ndarray:
-        """Read-only int8 ranks over the whole grid, in enumeration order.
 
-        The grid is scanned one integer chunk at a time; only the rank
-        vector itself grows with the grid, and ``_strata`` keeps its strata.
-        """
-        import numpy as np
-        n = self.form.dim
-        ranks = np.empty(grid.count(n), dtype=np.int8)
-        for start, rows in grid.integer_chunks(n):
-            ranks[start:start + len(rows)] = self.ranks_int(rows)
-        ranks.setflags(write=False)
-        return ranks
+def _monomials(d: int) -> list[tuple[int, int]]:
+    return list(combinations_with_replacement(range(d), 2))
+
+
+def _quadric(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients of ``pfaffian4`` over six linear forms in u, read off by
+    polarization: the value at e_a, and at e_a + e_b less those at e_a, e_b."""
+    def at(*axes):
+        return pfaffian4(*(sum(row[a] for a in axes) for row in rows))
+    return tuple(at(a) if a == b else at(a, b) - at(a) - at(b)
+                 for a, b in _monomials(len(rows[0])))
+
+
+def _value(q: Sequence[int], u: Sequence[int]) -> int:
+    return sum(c * u[a] * u[b] for c, (a, b) in zip(q, _monomials(len(u))) if c)
+
+
+# ---------------------------------------------------------------------------
+# rank strata of a grid
+# ---------------------------------------------------------------------------
+
+def _count_strata(kd: KirillovData, grid: GridSpec,
+                  top: int | None) -> dict[int, tuple[int, int]]:
+    """Each rank on the grid, in rank order: the index of its first point and
+    its count.  ``top`` is the rank off ann(G^1) under a structural verdict,
+    else None.
+
+    The box is not ranked point by point.  It is walked one prefix of
+    coordinates at a time; a point has u = a + key, with a = V.prefix and
+    key = V.suffix, and the suffixes are grouped into classes by their key.
+    ``_classifier`` counts each rank of one prefix from the classes, and
+    ranks the tail a chunk at a time.  The first box point of rank 0 is the
+    first suffix of the class -a; that of any other rank is found by
+    ranking, in order, the suffixes of the first prefix that holds it.
+    """
+    n = kd.dim
+    if not kd.v:
+        return {0: (0, grid.count(n))}
+    side = range(-grid.radius, grid.radius + 1)
+    # a lookup per prefix costs the same for any number of classes, so
+    # those prefixes are short; a pass over the classes keeps them few
+    lookups = top is not None or (n == 5 and len(kd.v) == 2)
+    split = n // 2 if lookups else max(n - 2, 0)
+    heads = [row[:split] for row in kd.v]
+    suffixes = list(zip(*product(side, repeat=n - split)))  # as columns
+    keys = list(zip(*(_dot(row[split:], suffixes) for row in kd.v)))
+    firsts: dict[tuple[int, ...], int] = {}  # each class's first suffix
+    for i, key in enumerate(keys):
+        firsts.setdefault(key, i)
+    prefix_counts, chunk_ranks = _classifier(kd, grid, Counter(keys), top)
+    strata: dict[int, list[int]] = {}
+    for k, prefix in enumerate(product(side, repeat=split)):
+        a = tuple(sum(map(mul, head, prefix)) for head in heads)
+        for rank, count in prefix_counts(a):
+            if rank in strata:
+                strata[rank][1] += count
+            elif count:
+                first = (firsts[tuple(-x for x in a)] if rank == 0 else
+                         next(i for i, key in enumerate(keys)
+                              if kd.rank(tuple(map(add, a, key))) == rank))
+                strata[rank] = [k * len(keys) + first, count]
+    start = grid._box_size(n)
+    for cols in grid.tail_columns(n):
+        ranks = chunk_ranks(cols)
+        for rank in set(ranks):
+            if rank in strata:
+                strata[rank][1] += ranks.count(rank)
+            else:
+                strata[rank] = [start + ranks.index(rank), ranks.count(rank)]
+        start += len(ranks)
+    return {rank: tuple(strata[rank]) for rank in sorted(strata)}
+
+
+def _classifier(kd: KirillovData, grid: GridSpec, classes: Counter, top: int | None):
+    """(prefix_counts, chunk_ranks) for ``_count_strata``: the (rank, count)
+    pairs of the box points with u = a + key, key over ``classes``, and the
+    list of ranks of a tail chunk given by its integer columns.
+
+    In dimension 5, and in any dimension under a structural verdict, the
+    rank is 0 on ann(G^1), where u = 0 (the class -a of a prefix a), 2 on
+    the rest of a set Z and ``high`` off both; ``low_box`` counts and
+    ``low_tail`` marks the points of ann(G^1) and Z together.  Z is empty
+    under a structural verdict.  With d = 2 it is the union of at most two
+    rational lines (``_rational_lines``), each met by one lookup of m.a in
+    a table of m.key for its normal m.  With d >= 3 it is the zero set of
+    one packed quadric W = sum K^k q_k over the live quadrics q_k, with
+    K > 2|q_k(u)| on the grid: W(a + key) = W(a) + grad(a).key + W(key),
+    tested over all classes at once with ``map``.  Other dimensions rank
+    each distinct u once, by elimination.
+    """
+    n, v = kd.dim, kd.v
+    d = len(v)
+    if top is None and n != 5:
+        memo: dict[tuple[int, ...], int] = {}
+
+        def rank(u):
+            if u not in memo:
+                memo[u] = kd.rank(u)
+            return memo[u]
+
+        def prefix_counts(a):
+            counts = Counter()
+            for key, count in classes.items():
+                counts[rank(tuple(map(add, a, key)))] += count
+            return counts.items()
+
+        def chunk_ranks(cols):
+            return list(map(rank, zip(*(_dot(row, cols) for row in v))))
+
+        return prefix_counts, chunk_ranks
+
+    size = sum(classes.values())
+    high = 4 if top is None else top
+    if top is not None:
+        def low_box(a, zero):
+            return zero
+
+        def low_tail(u, zero):
+            return zero
+    elif d == 2:
+        normals = [(y, -x) for x, y in _rational_lines(kd.quadrics)]
+        tables = [Counter() for _ in normals]
+        for (p, q), table in zip(normals, tables):
+            for key, count in classes.items():
+                table[p * key[0] + q * key[1]] += count
+
+        def low_box(a, zero):
+            return zero + sum(table.get(-p * a[0] - q * a[1], 0) - zero
+                              for (p, q), table in zip(normals, tables))
+
+        def low_tail(u, zero):
+            if not normals:
+                return zero
+            # on one of the lines iff the product over their normals is zero
+            return list(map(not_, reduce(partial(map, mul), (_dot(m, u) for m in normals))))
+    else:
+        live = [q for q in kd.quadrics if any(q)]
+        monomials = _monomials(d)
+        # |u_a| <= reach at every grid point, the scaled tail included
+        reach = max(grid.radius, 9 * _TAIL_SCALE) * max(sum(map(abs, row)) for row in v)
+        base = 2 * max(sum(map(abs, q)) for q in live) * reach ** 2 + 1
+        w = [sum(q[m] * base ** k for k, q in enumerate(live)) for m in range(len(monomials))]
+        keys, counts = list(classes), list(classes.values())
+        coords = list(zip(*keys))
+        at_keys = [_value(w, key) for key in keys]
+
+        def low_box(a, zero):
+            grad = [0] * d
+            for c, (i, j) in zip(w, monomials):
+                grad[i] += c * a[j]
+                grad[j] += c * a[i]
+            values = at_keys
+            for col, slope in zip(coords, grad):
+                if slope:
+                    values = map(add, values, map(mul, col, repeat(slope)))
+            return size - sum(compress(counts, map(ne, values, repeat(-_value(w, a)))))
+
+        def low_tail(u, zero):
+            return list(map(not_, _sum(map(mul, map(mul, u[i], u[j]), repeat(c))
+                                       for c, (i, j) in zip(w, monomials) if c)))
+
+    def prefix_counts(a):
+        zero = classes.get(tuple(-x for x in a), 0)
+        low = low_box(a, zero)
+        return (0, zero), (2, low - zero), (high, size - low)
+
+    def chunk_ranks(cols):
+        u = [list(_dot(row, cols)) for row in v]
+        zero = list(map(not_, reduce(partial(map, or_), u)))
+        # zero lies inside low: 2 on ann(G^1), 1 on the rest of Z, else 0
+        return list(map((high, 2, 0).__getitem__, map(add, zero, low_tail(u, zero))))
+
+    return prefix_counts, chunk_ranks
+
+
+def _dot(w: Sequence[int], cols: Sequence[Sequence[int]]) -> Iterator[int]:
+    """w.x for each point x given by the coordinate columns ``cols``."""
+    terms = [col if c == 1 else map(mul, col, repeat(c)) for c, col in zip(w, cols) if c]
+    return _sum(terms) if terms else repeat(0, len(cols[0]))
+
+
+_sum = partial(reduce, partial(map, add))  # termwise sum of equally long iterables
+
+
+def _rational_lines(quadrics: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The rational lines through 0 on which every binary quadric
+    c0*u0^2 + c1*u0*u1 + c2*u1^2 vanishes, by a primitive point on each:
+    the rational roots of the first nonzero quadric, at most two, that
+    every other quadric shares."""
+    c0, c1, c2 = next(q for q in quadrics if any(q))
+    disc = c1 * c1 - 4 * c0 * c2
+    root = isqrt(max(disc, 0))
+    if root * root != disc:
+        return []  # no real root, or two irrational ones
+    if c0:
+        points = [(-c1 + root, 2 * c0), (-c1 - root, 2 * c0)]
+    elif c2:
+        points = [(2 * c2, -c1 + root), (2 * c2, -c1 - root)]
+    else:
+        points = [(1, 0), (0, 1)]
+    lines = {(x // g, y // g) for x, y in points
+             for g in [gcd(x, y) if (x, y) > (0, 0) else -gcd(x, y)]}
+    return sorted(p for p in lines if not any(_value(q, p) for q in quadrics))
 
 
 # ---------------------------------------------------------------------------
@@ -422,56 +547,16 @@ def rank_profile(g: LieAlgebra, grid: GridSpec = GridSpec()) -> RankProfile:
 
 
 def _strata(g: LieAlgebra, grid: GridSpec) -> dict[int, tuple[int, int]]:
-    """Each rank on the grid: the index of its first point and its count, found
-    once per grid, from ann(G^1) under a structural verdict, else by a scan."""
+    """Each rank on the grid: the index of its first point and its count,
+    counted once per grid."""
     cache = g.kirillov.strata
     if grid not in cache:
         verdict = _structural_verdict(g)
-        cache[grid] = (_rank_strata(g.kirillov.rank_vector(grid)) if verdict is None else
-                       _annihilator_strata(g.derived_ideal().int_rows, grid, g.dim,
-                                           verdict.max_dim))
+        cache[grid] = _count_strata(g.kirillov, grid,
+                                     None if verdict is None else verdict.max_dim)
     return cache[grid]
 
 
-def _annihilator_strata(rows: Sequence[Sequence[int]], grid: GridSpec, n: int,
-                        max_dim: int) -> dict[int, tuple[int, int]]:
-    """Exact strata, no point ranked, when the rank is 0 on ann(G^1) and
-    max_dim off it; the integer ``rows`` span G^1.  With K > 2|v.x| for each
-    row v and grid point x (a tail point times 2520 = lcm(1..9); r <= 19),
-    w = sum K^i v_i has w.x = 0 iff x is in ann(G^1).  Box: prefixes in order
-    meet a table of suffix sums (count, first suffix).  Point 0 is the first
-    point off ann(G^1), or else point 0 + e_j is, j the last coordinate w reads.
-    """
-    r = grid.radius
-    side = range(-r, r + 1)
-    scale = 2 * 9 * 2520 * max((sum(map(abs, v)) for v in rows), default=0) + 1
-    w = [sum(v[j] * scale ** i for i, v in enumerate(rows)) for j in range(n)]
-    split = n // 2
-    suffixes: dict[int, list] = {}  # w.suffix -> [count, first suffix]
-    for point in product(side, repeat=n - split):
-        suffixes.setdefault(sum(map(mul, w[split:], point)), [0, point])[0] += 1
-    hits = [(prefix, entry) for prefix in product(side, repeat=split)
-            if (entry := suffixes.get(-sum(map(mul, w[:split], prefix))))]
-    zero, first = sum(entry[0] for _, entry in hits), hits[0][0] + hits[0][1][1]
-    draws = grid._tail(n)
-    cols = [map(floordiv, map(mul, draws[2 * j::2 * n], repeat(c * 2520)),
-                draws[2 * j + 1::2 * n]) for j, c in enumerate(w) if c]
-    zero += sum(map(not_, map(sum, zip(*cols)))) if cols else grid.extra_random_samples
-    strata = {0: (sum((x + r) * len(side) ** (n - 1 - j) for j, x in enumerate(first)), zero)}
-    if zero < grid.count(n):
-        last = max(j for j, c in enumerate(w) if c)
-        strata[max_dim] = (len(side) ** (n - 1 - last) if sum(w) == 0 else 0,
-                           grid.count(n) - zero)
-    return strata
-
-
-def _rank_strata(ranks: np.ndarray) -> dict[int, tuple[int, int]]:
-    """``_strata`` of a rank vector, one boolean mask at a time, so the scan
-    needs a byte per grid point."""
-    import numpy as np
-    counts = np.bincount(ranks)
-    return {int(value): (int(np.argmax(ranks == value)), int(counts[value]))
-            for value in np.flatnonzero(counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +608,16 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
 
     Order of rules:
       1. zero form: G^1 = 0  ->  IsMD with maximal dimension 0;
-      2. all five sub-Pfaffians identically zero  ->  IsMD with maximum 2
-         (rank is at most 2 everywhere and 2 is attained since some entry
-         is a nonzero linear form);
+      2. all five sub-Pfaffians identically zero (the quadrics in u have
+         no nonzero coefficient)  ->  IsMD with maximum 2 (rank is at most
+         2 everywhere and 2 is attained since some entry is a nonzero
+         linear form);
       3. common factor: dim G^1 = 1  ->  every entry is a rational multiple
          of one linear form ell, and the rank is constant on {ell != 0}:
          IsMD with that constant;
-      4. otherwise scan the grid; two distinct nonzero ranks give NotMD
-         with verified witnesses, anything else is Inconclusive.  Sampling
-         never proves IsMD.
+      4. otherwise count the grid's rank strata; two distinct nonzero
+         ranks give NotMD with verified witnesses, anything else is
+         Inconclusive.  Sampling never proves IsMD.
     """
     g.require_jacobi()
     if not g.is_solvable():
@@ -567,7 +653,7 @@ def _structural_verdict(g: LieAlgebra) -> MDVerdict | None:
     g1 = g.derived_ideal()
     if g1.dim == 0:
         return MDVerdict(kind="IsMD", max_dim=0, proof="zero-form")
-    if g.dim == 5 and all(p.is_zero() for p in g.kirillov.pfaffians):
+    if g.dim == 5 and not any(map(any, g.kirillov.quadrics)):
         return MDVerdict(kind="IsMD", max_dim=2, proof="pfaffian-vanishing")
     if g1.dim == 1:
         # G^1 = span{z}: B(F) = ell(F) * L with ell(F) = <F, z> and L a
@@ -591,7 +677,7 @@ def nonvanishing_maximality_check(g: LieAlgebra, grid: GridSpec = GridSpec(),
     supplied explicitly (as done for discrepancy reporting).  B_F = 0
     exactly when F vanishes on G^1 = span{[X_i, X_j]}, so the violators are
     the grid points whose rank is neither 0 nor ``max_dim``: the first is
-    read off the strata, which a structural verdict counts without a scan.
+    read off the strata.
     """
     g.require_jacobi()
     if max_dim is None:

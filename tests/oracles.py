@@ -9,21 +9,19 @@ Jacobi identity and basis changes expanded from ``g.brackets`` over
 kernels, coordinates by solving, intersections, and from them the series,
 centralizers and ad on an invariant subspace), the covector grid
 enumerated point by point as ``Fraction``s, polynomial values term by
-term, and primality by trial division.  They exist so that every
+term, primality by trial division, and the grid points that vanish on
+G^1 by solving for their pivot coordinates.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
-``frobenius_form``, Kirillov form and grid rank engine, and tests use them
-to state identities (Cayley-Hamilton, Frobenius blocks, similarity), to
-scan a grid covector by covector, and to feed covector batches to the
-engine.
+``frobenius_form`` and ``b_form_at``, and tests use them to state
+identities (Cayley-Hamilton, Frobenius blocks, similarity) and to rank a
+grid covector by covector.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import isqrt, lcm
-
-import numpy as np
+from math import gcd, isqrt, lcm
 
 from liemd.exact import MatrixQ, frobenius_form, mat_rank, poly_degree, poly_trim
 from liemd.kirillov import b_form_at
@@ -290,12 +288,14 @@ def grid_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:
     numerator in -9..9 and a denominator in 1..9, drawn in that order.
     """
     box = product(range(-grid.radius, grid.radius + 1), repeat=n)
-    out = [tuple(Fraction(x) for x in point) for point in box]
+    return [tuple(Fraction(x) for x in point) for point in box] + tail_covectors(grid, n)
+
+
+def tail_covectors(grid, n: int) -> list[tuple[Fraction, ...]]:
+    """The seeded tail of ``grid_covectors`` alone."""
     rng = random.Random(grid.seed)
-    for _ in range(grid.extra_random_samples):
-        out.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                         for _ in range(n)))
-    return out
+    return [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+            for _ in range(grid.extra_random_samples)]
 
 
 def identity(n: int) -> MatrixQ:
@@ -397,24 +397,29 @@ def skew4_from_upper(b12, b13, b14, b23, b24, b34) -> MatrixQ:
     ])
 
 
-def grid_ranks(g, covectors) -> list[int]:
-    """Orbit dimensions of a batch of ``Fraction`` covectors, through the
-    algebra's grid rank engine.
+def grid_ranks(g, grid, memo=None) -> list[int]:
+    """Orbit dimensions at every covector of ``grid_covectors``, in order, by
+    ``b_form_at`` and ``mat_rank``.  Since rank(cB) = rank B for c != 0, each
+    line through 0 is ranked once, at its primitive integer point with a
+    positive first nonzero coordinate; ``memo`` (a dict, one per algebra)
+    keeps those ranks across calls."""
+    memo = {} if memo is None else memo
+    ranks = []
+    for cov in grid_covectors(grid, g.dim):
+        scale = lcm(*(x.denominator for x in cov))
+        ints = [x.numerator * (scale // x.denominator) for x in cov]
+        lead = next((x for x in ints if x), 1)
+        div = (gcd(*ints) or 1) * (1 if lead > 0 else -1)
+        line = tuple(x // div for x in ints)
+        if line not in memo:
+            memo[line] = mat_rank(b_form_at(g, line))
+        ranks.append(memo[line])
+    return ranks
 
-    Each covector is cleared to integers, which leaves its rank unchanged.
-    Rows beyond int64 are passed as Python integers; past its int64 bounds
-    the engine works modulo primes in dimension 5, and in exact Python
-    integers in other dimensions.
-    """
-    if not covectors:
-        return []
-    cleared = []
-    for cov in covectors:
-        den = lcm(*(x.denominator for x in cov))
-        cleared.append([int(x * den) for x in cov])
-    peak = max(abs(x) for row in cleared for x in row)
-    rows = np.array(cleared, dtype=np.int64 if peak < 2 ** 62 else object)
-    return [int(r) for r in g.kirillov.ranks_int(rows)]
+
+def strata_of(ranks) -> dict[int, tuple[int, int]]:
+    """{rank: (index of its first occurrence, count)} of a list, in rank order."""
+    return {r: (ranks.index(r), ranks.count(r)) for r in sorted(set(ranks))}
 
 
 def first_nonmaximal_covector(g, grid, max_dim: int):
@@ -427,3 +432,43 @@ def first_nonmaximal_covector(g, grid, max_dim: int):
                 and mat_rank(b_form_at(g, cov)) != max_dim):
             return cov
     return None
+
+
+def derived_rows(g):
+    """The ``rref`` rows of G^1 = [G, G]."""
+    full = span([[int(i == j) for j in range(g.dim)] for i in range(g.dim)], g.dim)
+    return bracket_span(g, full, full)
+
+
+def annihilator_indices(rows, grid, n: int) -> list[int]:
+    """Indices of the ``grid_covectors`` in Q^n that vanish on the span of the
+    ``rref`` rows ``rows``, in order.
+
+    Box points are not visited: scale each row R to integers, with c = R[p]
+    at its pivot p.  A covector F vanishes on the span iff c F_p =
+    -sum_j R[j] F_j over the free columns j for every row, so the box points
+    are the free assignments whose pivot values come out integral and within
+    the radius.  Tail points are tested one by one.
+    """
+    r = grid.radius
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
+    free = [j for j in range(n) if j not in pivots]
+    scaled = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * scale) for x in row])
+    found = []
+    for values in product(range(-r, r + 1), repeat=len(free)):
+        point = [0] * n
+        for j, x in zip(free, values):
+            point[j] = x
+        for row, p in zip(scaled, pivots):
+            x, rest = divmod(-sum(row[j] * point[j] for j in free), row[p])
+            if rest or abs(x) > r:
+                break
+            point[p] = x
+        else:
+            found.append(sum((x + r) * (2 * r + 1) ** (n - 1 - j) for j, x in enumerate(point)))
+    box = (2 * r + 1) ** n
+    return sorted(found) + [box + k for k, cov in enumerate(tail_covectors(grid, n))
+                            if all(sum(a * b for a, b in zip(cov, row)) == 0 for row in rows)]

@@ -1,4 +1,3 @@
-import ast
 import json
 import os
 import random
@@ -98,15 +97,23 @@ def test_check_bad_grid_flags_exit2(g51_file, capsys):
 def test_huge_grids_fail_fast_exit2(g51_file, capsys, monkeypatch):
     def built(*args):
         raise AssertionError("grid points were built")
-    for name in ("integer_chunks", "covector", "_tail", "_box_rows", "_tail_rows"):
+    for name in ("tail_columns", "covector", "_tail"):
         monkeypatch.setattr(GridSpec, name, built)
-    monkeypatch.setattr(kirillov.KirillovData, "rank_vector", built)
+    monkeypatch.setattr(kirillov.KirillovData, "rank", built)
     assert main(["check", g51_file, "--grid-radius", "1000"]) == 2
     assert f"grid has {2001 ** 5 + 200} points" in capsys.readouterr().err
     assert main(["check", g51_file, "--samples", str(10 ** 12)]) == 2
     assert f"grid has {5 ** 5 + 10 ** 12} points" in capsys.readouterr().err
     assert main(["verify-catalog", "--grid-radius", "30"]) == 2
     assert f"grid has {61 ** 5 + 200} points" in capsys.readouterr().err
+
+
+def test_check_caps_the_samples_exit2(g51_file, capsys, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("tail drawn")
+    monkeypatch.setattr(GridSpec, "_tail", drawn)
+    assert main(["check", g51_file, "--samples", str(10 ** 6 + 1)]) == 2
+    assert f"{10 ** 6 + 1} extra samples requested" in capsys.readouterr().err
 
 
 def test_check_hostile_dimension_and_booleans_exit2(tmp_path, capsys):
@@ -163,44 +170,54 @@ def run_importtime(args, cwd):
                         if line.startswith("import time:")]
 
 
-def test_check_scans_the_grid_without_numpy_ma(tmp_path):
-    # rejected.5.2.3 is NotMD, so check scans the grid; numpy.ma never
-    # enters sys.modules
-    write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
-    stdout, imported = run_importtime(["-m", "liemd.cli", "check", "algebra.json", "--json"],
-                                      tmp_path)
-    assert stdout == golden("check_rejected.5.2.3.json")
-    assert "numpy" in imported
-    assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
+def wide_523():
+    # rejected.5.2.3 in a basis with an entry beyond 2^64: structure
+    # constants beyond int64
+    p = [[int(i == j) for j in range(5)] for i in range(5)]
+    p[0][3], p[4][1], p[2][4] = 2 ** 64 + 3, 2 ** 33, -7
+    return build("rejected.5.2.3").change_of_basis(MatrixQ(p))
 
 
-def test_only_a_grid_scan_imports_numpy(tmp_path):
-    # a structural verdict counts its rank strata without numpy; a NotMD
-    # algebra is scanned, and the scan does import it
+def test_no_command_imports_numpy(tmp_path):
+    # the strata of every grid are counted in pure Python, scanned or not
     write_algebra(tmp_path / "538.json", build("5.3.8", parse_params("l=2,angle=3/5:4/5")))
     write_algebra(tmp_path / "545.json", build("5.4.5"))
-    write_algebra(tmp_path / "rejected.json", build("rejected.5.2.3"))
+    write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
+    wide = wide_523()
+    assert max(abs(c.numerator) for v in wide.brackets.values() for c in v) >= 2 ** 63
+    write_algebra(tmp_path / "wide.json", wide)
+    write_algebra(tmp_path / "aff.json", LieAlgebra.from_brackets(5, AFF_C_PLUS_R))
     cli_args = ["-m", "liemd.cli"]
-    without = [
+    for args in (
         ["-c", "import liemd.cli"],
         cli_args + ["check", "538.json", "--json", "--grid-radius", "6"],
         cli_args + ["orbit-dim", "538.json", "--f", "1,2,3,4,5"],
         cli_args + ["catalog", "build", "5.4.5"],
         cli_args + ["iso", "545.json", "545.json"],
-    ]
-    for args in without:
-        _, imported = run_importtime(args, tmp_path)
+        cli_args + ["verify-catalog", "--json"],
+        cli_args + ["separate", "default", "--json"],
+        cli_args + ["check", "algebra.json", "--json"],
+        cli_args + ["check", "wide.json", "--json"],
+        cli_args + ["check", "aff.json", "--json"],
+        cli_args + ["fingerprint", "algebra.json"],
+    ):
+        stdout, imported = run_importtime(args, tmp_path)
         assert "liemd.kirillov" in imported, args
         assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")], args
-    assert "numpy" in run_importtime(cli_args + ["check", "rejected.json", "--json"], tmp_path)[1]
+        if args[2:4] == ["check", "algebra.json"]:
+            assert stdout == golden("check_rejected.5.2.3.json")
 
 
-def test_liemd_never_calls_np_unique():
-    # np.unique imports numpy.ma on first use
-    calls = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "liemd").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr == "unique"]
-    assert not calls
+def test_liemd_runs_without_numpy(tmp_path):
+    # with numpy made unimportable, a grid that is scanned still counts
+    write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
+    code = ("import sys; sys.modules['numpy'] = None; from liemd.cli import main; "
+            "sys.exit(main(['check', 'algebra.json', '--json']))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout == golden("check_rejected.5.2.3.json")
 
 
 # aff(C) + R: MD, but no exact rule decides it, so the verdict is
@@ -222,8 +239,8 @@ def test_check_radius4_json_matches_golden(name, algebra, tmp_path, monkeypatch,
 
 def analyze_counting(monkeypatch, family, params=""):
     """``cli._analyze`` on a catalog sample at the default grid, counting
-    derived-ideal builds, md_check calls, rank-engine calls and grid passes."""
-    counts = {"G1": 0, "md_check": 0, "rank_vector": 0, "grid_pass": 0}
+    derived-ideal builds, md_check calls and strata counts."""
+    counts = {"G1": 0, "md_check": 0, "strata": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -241,28 +258,25 @@ def analyze_counting(monkeypatch, family, params=""):
     monkeypatch.setattr(LieAlgebra, "span_of_brackets", span_counted)
     monkeypatch.setattr(kirillov, "md_check", md_check)
     monkeypatch.setattr(cli, "md_check", md_check)
-    monkeypatch.setattr(kirillov.KirillovData, "ranks_int",
-                        counted("rank_vector", kirillov.KirillovData.ranks_int))
-    monkeypatch.setattr(GridSpec, "integer_chunks",
-                        counted("grid_pass", GridSpec.integer_chunks))
+    monkeypatch.setattr(kirillov, "_count_strata", counted("strata", kirillov._count_strata))
     record = cli._analyze(build(family, parse_params(params)), GridSpec())
     return record, counts
 
 
 def test_analyze_computes_each_fact_once(monkeypatch):
-    # a structural IsMD verdict: the rank strata are counted from ann(G^1),
-    # so no grid point is ranked
+    # a structural IsMD verdict: md_check reads no grid, and the profile
+    # and the maximality check read one count of the strata
     record, counts = analyze_counting(monkeypatch, "5.3.8", "l=2,angle=3/5:4/5")
     assert record["md"]["verdict"] == "IsMD" and record["maximality"] == "holds"
-    assert counts == {"G1": 1, "md_check": 1, "rank_vector": 0, "grid_pass": 0}
+    assert counts == {"G1": 1, "md_check": 1, "strata": 1}
 
 
 def test_analyze_scans_a_nonstructural_grid_once(monkeypatch):
-    # NotMD: the grid is scanned once, and md_check and the profile read
-    # the strata of that scan
+    # NotMD: the strata are counted once per grid, and md_check and the
+    # profile both read that count
     record, counts = analyze_counting(monkeypatch, "rejected.5.2.3")
     assert record["md"]["verdict"] == "NotMD" and record["maximality"] is None
-    assert counts == {"G1": 1, "md_check": 1, "rank_vector": 1, "grid_pass": 1}
+    assert counts == {"G1": 1, "md_check": 1, "strata": 1}
 
 
 def test_adjoints_commute_is_exact():

@@ -7,9 +7,9 @@ import tracemalloc
 from fractions import Fraction as F
 from itertools import islice
 from math import prod
+from operator import mul
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from liemd import kirillov
@@ -28,12 +28,15 @@ from liemd.kirillov import (
 from liemd.lie_core import LieAlgebra, transport_covector
 from conftest import random_invertible, random_rational
 from oracles import (
+    annihilator_indices,
+    derived_rows,
     first_nonmaximal_covector,
     grid_covectors,
     grid_ranks,
     is_prime,
     minor_rank,
     poly_evaluate,
+    strata_of,
 )
 
 
@@ -50,8 +53,7 @@ def g538():
 
 
 def huge_constants():
-    # structure constants beyond int64 send the rank engine down its
-    # residue path modulo primes
+    # structure constants beyond int64, so quadrics beyond it too
     return LieAlgebra.from_brackets(5, [(1, 2, {5: F(2 ** 80)}), (3, 4, {5: 1})])
 
 
@@ -193,6 +195,23 @@ def test_pfaffian_system_requires_dim5():
         pfaffian_system(b_form_symbolic(g))
 
 
+def test_quadrics_are_the_sub_pfaffians_in_u(catalog_algebras):
+    # each integer quadric at u = V.F is D^2 times the PolyQ sub-Pfaffian
+    # of its slice at F, on every sample, a basis change of each, and the
+    # 2^80 constants
+    rng = random.Random(23)
+    algebras = [g for _, g in catalog_algebras]
+    algebras += [g.change_of_basis(random_invertible(rng, 5)) for g in algebras]
+    for g in algebras + [huge_constants()]:
+        kd = g.kirillov
+        pfs = pfaffian_system(b_form_symbolic(g))
+        for _ in range(3):
+            f = [random_rational(rng, 9, 9) for _ in range(5)]
+            u = [sum(a * x for a, x in zip(row, f)) for row in kd.v]
+            assert [kirillov._value(q, u) for q in kd.quadrics] == [
+                kd._den ** 2 * poly_evaluate(p, f) for p in pfs]
+
+
 def test_pfaffian_vanishing_forbids_rank4(catalog_samples):
     grid = GridSpec(radius=1, extra_random_samples=50, seed=3)
     for _, _, _, g in catalog_samples:
@@ -222,9 +241,6 @@ def test_grid_enumerates_lexicographically():
     assert len(pts) == spec.count(2) == 9
     assert list(spec.covectors(2)) == pts
     assert [spec.covector(2, k) for k in range(spec.count(2))] == pts
-    # box points are integral, so the integer rows are the covectors
-    rows = [tuple(row) for _, chunk in spec.integer_chunks(2) for row in chunk.tolist()]
-    assert rows == pts
 
 
 def test_grid_random_tail_respects_bounds():
@@ -253,41 +269,58 @@ def test_grid_rejects_bad_parameters():
         GridSpec(radius=1, extra_random_samples=kirillov.MAX_GRID_POINTS)
 
 
-def test_integer_chunks_enumerate_the_covectors():
+def test_grid_caps_the_random_tail_before_drawing():
+    limit = kirillov.MAX_TAIL_SAMPLES
+    assert limit == 10 ** 6
+    assert GridSpec(radius=1, extra_random_samples=limit).count(5) == 243 + limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{limit + 1} extra samples requested"):
+            GridSpec(radius=1, extra_random_samples=limit + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nothing is drawn: the tail alone would take 10 MB
+    assert peak < 64 * 1024
+
+
+def test_tail_columns_enumerate_the_covectors():
     for radius in (1, 2, 3):
         for n in (2, 3, 5):
             for samples in (0, 20):
                 grid = GridSpec(radius=radius, extra_random_samples=samples, seed=4)
                 exact = grid_covectors(grid, n)
                 assert list(grid.covectors(n)) == exact
-                rows = []
-                for start, chunk in grid.integer_chunks(n):
-                    assert start == len(rows) and chunk.dtype == np.int64
-                    assert 0 < len(chunk) <= kirillov.GRID_CHUNK
-                    rows.extend(chunk.tolist())
-                assert len(rows) == len(exact) == grid.count(n)
-                for k, (row, cov) in enumerate(zip(rows, exact)):
-                    assert grid.covector(n, k) == cov
-                    i = next((i for i, x in enumerate(cov) if x != 0), 0)
-                    scale = F(row[i]) / cov[i] if cov[i] else F(1)
-                    assert scale > 0 and row == [scale * x for x in cov]
+                assert [grid.covector(n, k) for k in range(grid.count(n))] == exact
+                # each tail point times 2520, a multiple of every denominator
+                rows = [list(row) for cols in grid.tail_columns(n) for row in zip(*cols)]
+                assert rows == [[2520 * x for x in cov] for cov in exact[len(exact) - samples:]]
                 for k in (-1, grid.count(n)):
                     with pytest.raises(IndexError):
                         grid.covector(n, k)
+
+
+def quadric_ranks(g, covectors):
+    """Ranks read from u = V.F alone, through the quadrics in dimension 5."""
+    kd = g.kirillov
+    ranks = []
+    for cov in covectors:
+        x = clear_denominators(cov)[1]
+        ranks.append(kd.rank(tuple(sum(map(mul, row, x)) for row in kd.v)))
+    return ranks
 
 
 def test_fast_rank_path_matches_exact_rank(catalog_samples):
     grid = GridSpec(radius=1, extra_random_samples=30, seed=5)
     covs = list(grid.covectors(5))
     for _, _, _, g in catalog_samples[:8]:
-        fast = grid_ranks(g, covs)
+        fast = quadric_ranks(g, covs)
         slow = [mat_rank(b_form_at(g, f)) for f in covs]
         assert fast == slow
 
 
 def test_fast_rank_path_survives_int64_overflow():
-    # covector entries far beyond the int64 guard force the residue path
-    # modulo primes, which must agree with exact elimination
+    # covector entries far beyond int64 must agree with exact elimination
     big = 2 ** 40
     g = build("5.2.2", FamilyParams(lambdas=(2,)))
     covs = [
@@ -296,10 +329,9 @@ def test_fast_rank_path_survives_int64_overflow():
         (0, 0, 0, 0, big),
         (big, 0, 0, 0, 0),
     ]
-    # the second batch has a row beyond int64, so it arrives as Python integers
     for batch in (covs, covs + [(big ** 2, 1, -big, 3, big + 5)]):
         batch = [tuple(F(x) for x in c) for c in batch]
-        fast = grid_ranks(g, batch)
+        fast = quadric_ranks(g, batch)
         slow = [mat_rank(b_form_at(g, f)) for f in batch]
         assert fast == slow
 
@@ -308,46 +340,31 @@ def test_fast_rank_path_huge_structure_constants():
     g = huge_constants()
     covs = [tuple(F(x) for x in c) for c in
             [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1)]]
-    fast = grid_ranks(g, covs)
+    fast = quadric_ranks(g, covs)
     slow = [mat_rank(b_form_at(g, f)) for f in covs]
     assert fast == slow
+    grid = GridSpec(radius=1, extra_random_samples=20, seed=3)
+    assert kirillov._strata(g, grid) == strata_of(grid_ranks(g, grid))
 
 
 @pytest.mark.parametrize("first, second", [
-    # P = q1 q2 q3: at e5 every entry and sub-Pfaffian vanishes modulo the
-    # first three primes, but not exactly
+    # P = q1 q2 q3: every entry and sub-Pfaffian at e5 is a multiple of the
+    # same large primes
     (slice(0, 3), slice(0, 3)),
-    # the sub-Pfaffian q1 q2 q3 q4 f5^2 vanishes modulo primes whose product
-    # passes the entry bound L*m, so only the Pfaffian bound decides it
+    # the sub-Pfaffian q1 q2 q3 q4 f5^2 of four primes, entries of two
     (slice(0, 2), slice(2, 4)),
 ], ids=["P_P", "q1q2_q3q4"])
-def test_residue_path_takes_primes_until_their_product_passes_the_bound(first, second):
-    # [X1,X2] = a X5 and [X3,X4] = b X5 with X5 central: rank 4 off f5 = 0
-    primes = list(islice(kirillov._primes(), 4))
+def test_prime_product_constants_match_the_oracle(first, second):
+    # [X1,X2] = a X5 and [X3,X4] = b X5 with X5 central and a, b products of
+    # the largest primes below 2^30: rank 4 off f5 = 0
+    primes = list(islice(filter(is_prime, range(2 ** 30 - 1, 0, -2)), 4))
     g = LieAlgebra.from_brackets(5, [(1, 2, {5: prod(primes[first])}),
                                      (3, 4, {5: prod(primes[second])})])
     assert orbit_dim(g, [0, 0, 0, 0, 1]) == 4
     grid = GridSpec(radius=1)
-    covs = grid_covectors(grid, 5)
-    assert grid_ranks(g, covs) == [mat_rank(b_form_at(g, f)) for f in covs]
+    assert quadric_ranks(g, grid_covectors(grid, 5)) == grid_ranks(g, grid)
     profile = rank_profile(g, grid)
     assert (profile.histogram, profile.witnesses) == _oracle_profile(g, grid)
-
-
-def test_residue_primes_are_the_primes_below_2_30_largest_first():
-    primes = list(islice(kirillov._primes(), 12))
-    assert all(is_prime(q) for q in primes)
-    # strictly decreasing, and no prime is skipped
-    for high, low in zip([2 ** 30] + primes, primes):
-        assert low < high and not any(is_prime(q) for q in range(low + 1, high))
-
-
-def test_importing_the_cli_searches_no_primes():
-    code = "import liemd.cli, liemd.kirillov as k; print(len(k._PRIMES))"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "0"
 
 
 def _oracle_profile(g, grid):
@@ -365,8 +382,8 @@ def aff_r():
 
 @pytest.mark.parametrize("make", [
     lambda: aff_r().direct_sum(aff_r()),
-    # beyond int64 and with two denominators: outside dimension 5 the
-    # engine takes exact Python-integer ranks
+    # beyond int64 and with two denominators: outside dimension 5 each
+    # distinct u is ranked by elimination
     lambda: LieAlgebra.from_brackets(4, [(1, 2, {2: 2 ** 80}), (3, 4, {4: F(1, 3)})]),
     lambda: g51().direct_sum(LieAlgebra.abelian(1)),
 ], ids=["aff_r_squared", "aff_r_squared_huge", "g51_plus_r"])
@@ -575,8 +592,8 @@ def derived_line_e1_minus_e2():
 
 
 def test_structural_strata_match_the_scan(catalog_algebras):
-    # under a structural verdict the strata are counted from ann(G^1); the
-    # oracle is the rank engine's scan of every grid point
+    # under a structural verdict the rank is 0 on ann(G^1) and max_dim off
+    # it; the oracle finds the grid points of ann(G^1) by solving for them
     rng = random.Random(31)
     algebras = [g for _, g in catalog_algebras if kirillov._structural_verdict(g)]
     assert len(algebras) == 38
@@ -591,8 +608,13 @@ def test_structural_strata_match_the_scan(catalog_algebras):
               for radius in (1, 2) for samples in (5, 200) for seed in (1, 7)]
     for g in algebras:
         max_dim = kirillov._structural_verdict(g).max_dim
+        rows = derived_rows(g)
         for grid in grids:
-            scanned = kirillov._rank_strata(g.kirillov.rank_vector(grid))
+            zero, total = annihilator_indices(rows, grid, 5), grid.count(5)
+            scanned = {0: (zero[0], len(zero))} if zero else {}
+            if len(zero) < total:
+                off = next(k for k, z in enumerate(zero + [total]) if k != z)
+                scanned[max_dim] = (off, total - len(zero))
             assert kirillov._strata(g, grid) == scanned
             # a max_dim that does not match: the first violator is the first
             # point of the true maximal rank
@@ -600,6 +622,98 @@ def test_structural_strata_match_the_scan(catalog_algebras):
             for other in {0, 2, 4} - {max_dim}:
                 assert nonvanishing_maximality_check(g, grid, other) == first
     assert kirillov._strata(algebras[-1], GridSpec(radius=3))[2][0] == 7 ** 3
+
+
+# radius 1 to 3, tails of 0, 5 and 200 points, seeds 1 and 7
+STRATA_GRIDS = [GridSpec(radius, samples, seed) for radius in (1, 2, 3)
+                for samples in (0, 5, 200) for seed in (1, 7)]
+
+
+def oracle_strata(g, grid, parts):
+    """``strata_of(grid_ranks(g, grid))``, with the ranks of each box and of
+    each seed's 200-point tail kept in ``parts``: a shorter tail is the
+    start of the longer one with the same seed."""
+    if not parts:
+        parts["memo"] = {}
+    for part in (GridSpec(grid.radius, 0), GridSpec(1, 200, grid.seed)):
+        if part not in parts:
+            parts[part] = grid_ranks(g, part, parts["memo"])
+    tail = parts[GridSpec(1, 200, grid.seed)][3 ** 5:]
+    return strata_of(parts[GridSpec(grid.radius, 0)] + tail[:grid.extra_random_samples])
+
+
+def semidirect(rng, d):
+    """A seeded algebra with dim G^1 = d and no structural verdict, in a
+    dense basis.  d = 2, 3: R^2 acting on R^3 by the commuting A and
+    A^2 + cA, with [X1, X2] = w, so G^1 = im A + <w>.  d = 4: R acting on
+    h3 + R, where [X2, X3] = X4, by a derivation that is invertible on
+    <X2, X3> and nonzero on X5."""
+    while True:
+        if d < 4:
+            a = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            c = rng.randint(-2, 2)
+            b = [[sum(a[i][k] * a[k][j] for k in range(3)) + c * a[i][j] for j in range(3)]
+                 for i in range(3)]
+            table = [(1, 2, {3 + k: rng.randint(-2, 2) for k in range(3)})]
+            table += [(x, 3 + j, {3 + i: m[i][j] for i in range(3)})
+                      for x, m in ((1, a), (2, b)) for j in range(3)]
+        else:
+            a, b, c, e, p, q, r, s, t, w = (rng.randint(-2, 2) for _ in range(10))
+            table = [(1, 2, {2: a, 3: c, 4: p, 5: q}), (1, 3, {2: b, 3: e, 4: r, 5: s}),
+                     (1, 4, {4: a + e}), (1, 5, {4: t, 5: w}), (2, 3, {4: 1})]
+        g = LieAlgebra.from_brackets(5, [(i, j, {k: x for k, x in coeffs.items() if x})
+                                         for i, j, coeffs in table])
+        assert g.jacobi_check() is None
+        if g.derived_ideal().dim == d and kirillov._structural_verdict(g) is None:
+            return g.change_of_basis(random_invertible(rng, 5))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_nonstructural_strata_match_the_oracle(d):
+    g = semidirect(random.Random(d), d)
+    parts = {}
+    for grid in STRATA_GRIDS:
+        assert kirillov._strata(g, grid) == oracle_strata(g, grid, parts), grid
+
+
+@pytest.mark.parametrize("quadrics, lines", [
+    ([(1, 0, -1)], [(1, -1), (1, 1)]),            # u0^2 - u1^2
+    ([(0, 0, 0), (0, 2, 0)], [(0, 1), (1, 0)]),   # u0 u1: c0 = c2 = 0
+    ([(0, 3, 6)], [(1, 0), (2, -1)]),             # u1 (3 u0 + 6 u1): c0 = 0
+    ([(4, 4, 1)], [(1, -2)]),                     # (2 u0 + u1)^2, a double root
+    ([(1, 0, -2)], []),                           # u0^2 - 2 u1^2, an irrational pair
+    ([(1, 0, 1)], []),                            # definite
+    ([(0, 1, 0), (1, 0, 0)], [(0, 1)]),           # u0 u1 and u0^2 share u0 = 0 only
+    ([(0, 1, 0), (0, 0, 3)], [(1, 0)]),           # u0 u1 and u1^2 share u1 = 0 only
+])
+def test_rational_lines_are_the_shared_rational_roots(quadrics, lines):
+    assert kirillov._rational_lines(quadrics) == lines
+
+
+def aff_pair(m):
+    # X1 acts on <X3, X4> by the identity and X2 by [[0, m], [1, 0]]: the one
+    # live sub-Pfaffian is f4^2 - m f3^2, and m = -1 gives aff(C) + R
+    return LieAlgebra.from_brackets(5, [(1, 3, {3: 1}), (1, 4, {4: 1}),
+                                        (2, 3, {4: 1}), (2, 4, {3: m})])
+
+
+@pytest.mark.parametrize("make, lines", [
+    (lambda: aff_pair(1), 2),
+    (lambda: build("5.2.2", FamilyParams(lambdas=(2,))), 1),
+    (lambda: aff_pair(2), 0),
+], ids=["two_rays", "double_root_5.2.2", "irrational_pair"])
+def test_rank_two_lines_of_dimension_two_match_the_oracle(make, lines):
+    # dim G^1 = 2: rank 2 exactly where u lies on a rational line on which
+    # every quadric vanishes; a dense basis moves the lines off the axes
+    g = make().change_of_basis(random_invertible(random.Random(lines), 5))
+    assert len(g.kirillov.v) == 2 and kirillov._structural_verdict(g) is None
+    assert len(kirillov._rational_lines(g.kirillov.quadrics)) == lines
+    parts = {}
+    for grid in STRATA_GRIDS:
+        strata = kirillov._strata(g, grid)
+        assert strata == oracle_strata(g, grid, parts), grid
+        assert (2 in strata) <= (lines > 0)
+    assert (2 in strata) == (lines > 0)
 
 
 def test_maximality_requires_ismd():
@@ -623,8 +737,8 @@ def test_maximality_skips_the_grid_when_derived_ideal_is_zero(monkeypatch):
     def untouched(*args):
         raise AssertionError("grid scanned")
 
-    monkeypatch.setattr(kirillov.KirillovData, "rank_vector", untouched)
-    monkeypatch.setattr(GridSpec, "integer_chunks", untouched)
+    monkeypatch.setattr(kirillov.KirillovData, "rank", untouched)
+    monkeypatch.setattr(GridSpec, "tail_columns", untouched)
     assert nonvanishing_maximality_check(LieAlgebra.abelian(5), max_dim=0) is None
 
 
@@ -634,58 +748,52 @@ def test_grid_results_do_not_depend_on_the_chunk_size(make, monkeypatch):
 
     def results():
         g = make()
-        ranks = g.kirillov.rank_vector(grid)
-        assert ranks.dtype == np.int8 and not ranks.flags.writeable
         profile = rank_profile(g, grid)
-        return (ranks.tolist(), profile, md_check(g, grid),
+        return (profile, md_check(g, grid),
                 nonvanishing_maximality_check(g, grid, max_dim=max(profile.histogram)))
 
     default = results()
-    # 7 divides neither the box (3125) nor the grid (3325), so one chunk
-    # straddles the box and the random tail
-    monkeypatch.setattr(kirillov, "GRID_CHUNK", 7)
-    assert len(list(grid.integer_chunks(5))) == -(-grid.count(5) // 7)
+    # 7 does not divide the 200 tail points, so the last chunk is short
+    monkeypatch.setattr(kirillov, "TAIL_CHUNK", 7)
+    assert len(list(grid.tail_columns(5))) == -(-200 // 7)
     assert results() == default
 
 
-def test_rank_vector_peak_memory_is_flat_in_the_radius():
+def dense_32a():
+    # rejected.3.2a in a dense basis: dim G^1 = 3, and each row of V reads
+    # most coordinates
+    return build("rejected.3.2a").change_of_basis(random_invertible(random.Random(2), 5))
+
+
+def test_strata_peak_memory_is_flat_in_the_radius():
     def peak(radius):
-        g = g538()
-        g.kirillov  # built outside the traced region
+        g = dense_32a()
+        assert len(g.kirillov.v) == 3  # built outside the traced region
         tracemalloc.start()
         try:
-            g.kirillov.rank_vector(GridSpec(radius=radius))
+            kirillov._strata(g, GridSpec(radius=radius))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    # a first count at each size also fills the interpreter's free lists
+    peak(3)
+    peak(6)
     # radius 6 has 22x the points of radius 3
     assert peak(6) <= 2 * peak(3)
-
-
-def test_rank_vector_beyond_int64_takes_no_more_memory_than_int64():
-    def peak(g):
-        g.kirillov.pfaffians  # built outside the traced region
-        tracemalloc.start()
-        try:
-            g.kirillov.rank_vector(GridSpec(radius=4))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(basis_changed_538()) <= 2 * peak(g538())
 
 
 def test_random_tail_is_held_as_integer_draws():
     grid = GridSpec(radius=1, extra_random_samples=20000)
     tracemalloc.start()
     try:
-        list(grid.integer_chunks(5))
+        for _ in grid.tail_columns(5):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 100,000 tail entries: the int64 draws and their cleared rows take
-    # under 3 MB; one Fraction per entry takes several times that
+    # 100,000 tail entries: two bytes each, and one chunk of integer columns
+    # at a time; one Fraction per entry takes several times that
     assert peak < 6 * 10 ** 6
 
 
@@ -698,9 +806,9 @@ def test_structural_verdicts_read_no_grid(make, max_dim, proof, monkeypatch):
     def untouched(*args):
         raise AssertionError("grid read")
 
-    for name in ("covector", "covectors", "integer_chunks"):
+    for name in ("covector", "covectors", "tail_columns", "_tail"):
         monkeypatch.setattr(GridSpec, name, untouched)
-    monkeypatch.setattr(kirillov.KirillovData, "rank_vector", untouched)
+    monkeypatch.setattr(kirillov.KirillovData, "rank", untouched)
     verdict = md_check(make())
     assert (verdict.kind, verdict.max_dim, verdict.proof) == ("IsMD", max_dim, proof)
 
