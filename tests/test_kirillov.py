@@ -676,6 +676,19 @@ def test_nonstructural_strata_match_the_oracle(d):
         assert kirillov._strata(g, grid) == oracle_strata(g, grid, parts), grid
 
 
+def test_packed_quadrics_do_not_cancel():
+    # X1 acts on <X3, X4, X5> by the identity and X2 by diag(1, 2, 3): the
+    # live quadrics are u1 u2, 2 u0 u2 and u0 u1, so rank 2 lies on the
+    # axes of u, and a packing base too small to keep the quadrics apart
+    # would cancel them at radius 3
+    g = LieAlgebra.from_brackets(5, [(1, 3, {3: 1}), (1, 4, {4: 1}), (1, 5, {5: 1}),
+                                     (2, 3, {3: 1}), (2, 4, {4: 2}), (2, 5, {5: 3})])
+    assert len(g.kirillov.v) == 3 and kirillov._structural_verdict(g) is None
+    parts = {}
+    for grid in STRATA_GRIDS:
+        assert kirillov._strata(g, grid) == oracle_strata(g, grid, parts), grid
+
+
 @pytest.mark.parametrize("quadrics, lines", [
     ([(1, 0, -1)], [(1, -1), (1, 1)]),            # u0^2 - u1^2
     ([(0, 0, 0), (0, 2, 0)], [(0, 1), (1, 0)]),   # u0 u1: c0 = c2 = 0
