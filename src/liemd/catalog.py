@@ -18,9 +18,8 @@ that the checker surfaces (a non-MD family and four overlapping pairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import MatrixQ, UnitPoint, parse_rational
 from .lie_core import LieAlgebra
@@ -44,19 +43,20 @@ GROUP_OF["rejected.5.2.3"] = 2
 GROUP_OF["rejected.3.2a"] = 3
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _FamilyParams(NamedTuple):
+    lambdas: tuple[Fraction, ...]
+    mu: Fraction | None
+    angle: UnitPoint | None
+
+
+class FamilyParams(_FamilyParams):
     """Parameter bundle: up to three lambdas, an optional mu and angle."""
 
-    lambdas: tuple[Fraction, ...] = ()
-    mu: Fraction | None = None
-    angle: UnitPoint | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas",
-                           tuple(Fraction(v) for v in self.lambdas))
-        if self.mu is not None:
-            object.__setattr__(self, "mu", Fraction(self.mu))
+    def __new__(cls, lambdas=(), mu=None, angle=None):
+        return super().__new__(cls, tuple(map(Fraction, lambdas)),
+                               None if mu is None else Fraction(mu), angle)
 
     def label(self) -> str:
         parts = []

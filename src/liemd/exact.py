@@ -12,11 +12,10 @@ kernels, solves, inverses and Krylov annihilators all go through it, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -64,25 +63,27 @@ def format_vector(vec: Sequence[Scalar]) -> list:
 # exact points on the unit circle (rotation parameters)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitPoint:
+class _UnitPoint(NamedTuple):
+    c: Fraction
+    s: Fraction
+
+
+class UnitPoint(_UnitPoint):
     """A rational point (c, s) with c**2 + s**2 == 1 and s > 0.
 
     Encodes an angle in the open interval (0, pi) without leaving exact
     arithmetic; (3/5, 4/5) is the smallest Pythagorean example.
     """
 
-    c: Fraction
-    s: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        c, s = Fraction(self.c), Fraction(self.s)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
+    def __new__(cls, c, s):
+        c, s = Fraction(c), Fraction(s)
         if c * c + s * s != 1:
             raise ValueError(f"({c}, {s}) is not on the unit circle")
         if s <= 0:
             raise ValueError(f"sine component must be positive, got {s}")
+        return super().__new__(cls, c, s)
 
 
 # ---------------------------------------------------------------------------

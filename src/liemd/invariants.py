@@ -15,9 +15,8 @@ mechanism settles are reported unresolved, never silently passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import (
     MatrixQ,
@@ -103,8 +102,7 @@ def _invariant_line_record(g: LieAlgebra):
 # the fingerprint
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     dims: tuple
     kirillov: tuple
     spectral: tuple
@@ -186,8 +184,7 @@ def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
 # exact isomorphism for codimension-1 commutative derived ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     kind: str  # "Iso" | "NotIso" | "Inconclusive"
     witness: MatrixQ | None = None
     field: str | None = None
@@ -289,8 +286,7 @@ def iso_test_codim1(a: LieAlgebra, b: LieAlgebra) -> IsoResult:
 # pairwise separation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(NamedTuple):
     a: str
     b: str
     outcome: str  # "separated" | "iso-witnessed" | "unresolved"

@@ -29,13 +29,12 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, ne, not_, or_
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import (
     MatrixQ,
@@ -87,8 +86,13 @@ _SCALED = {int.from_bytes(bytes((num & 0xFF, den)), sys.byteorder): num * _TAIL_
 # grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridSpec(NamedTuple):
+    radius: int
+    extra_random_samples: int
+    seed: int
+
+
+class GridSpec(_GridSpec):
     """Deterministic covector enumeration: an integer box plus random tails.
 
     The integer stage walks {-radius..radius}^n in lexicographic order with
@@ -102,21 +106,20 @@ class GridSpec:
     ``covector`` is the one place that builds exact ``Fraction`` covectors.
     """
 
-    radius: int = 2
-    extra_random_samples: int = 200
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.radius < 1:
+    # no __slots__: ``_tails`` keeps its cache in the instance __dict__
+    def __new__(cls, radius=2, extra_random_samples=200, seed=1):
+        self = super().__new__(cls, radius, extra_random_samples, seed)
+        if radius < 1:
             raise ValueError("grid radius must be a positive integer")
-        if self.extra_random_samples < 0:
+        if extra_random_samples < 0:
             raise ValueError("extra sample count must be non-negative")
         if self.count(5) > MAX_GRID_POINTS:
             raise ValueError(f"grid has {self.count(5)} points in dimension 5, "
                              f"more than the limit of {MAX_GRID_POINTS}")
-        if self.extra_random_samples > MAX_TAIL_SAMPLES:
-            raise ValueError(f"{self.extra_random_samples} extra samples requested, "
+        if extra_random_samples > MAX_TAIL_SAMPLES:
+            raise ValueError(f"{extra_random_samples} extra samples requested, "
                              f"more than the limit of {MAX_TAIL_SAMPLES}")
+        return self
 
     def covectors(self, n: int) -> Iterator[Covector]:
         for point in product(range(-self.radius, self.radius + 1), repeat=n):
@@ -520,8 +523,7 @@ def _rational_lines(quadrics: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 # rank profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     histogram: dict[int, int]
     witnesses: dict[int, Covector]
 
@@ -563,8 +565,7 @@ def _strata(g: LieAlgebra, grid: GridSpec) -> dict[int, tuple[int, int]]:
 # the MD verdict
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MDVerdict:
+class MDVerdict(NamedTuple):
     """Tri-state certificate for the fixed-orbit-dimension property."""
 
     kind: str  # "IsMD" | "NotMD" | "Inconclusive"

@@ -164,6 +164,10 @@ def test_parse_params_single_lambda_and_label_round_trip():
     assert parse_params(p.label()).lambdas == (-3,)
     q = FamilyParams(lambdas=(F(2), F(3)), angle=A1)
     assert parse_params(q.label()) == q
+    # integer arguments are stored as Fractions
+    r = FamilyParams(lambdas=(2,), mu=1)
+    assert r == FamilyParams(lambdas=(F(2),), mu=F(1))
+    assert all(type(v) is F for v in (*r.lambdas, r.mu))
 
 
 def test_parse_params_rejects_garbage():

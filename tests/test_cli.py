@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from liemd import cli, kirillov
 from liemd.catalog import FamilyParams, build, parse_params
 from liemd.cli import main
-from liemd.exact import MatrixQ
-from liemd.kirillov import GridSpec
+from liemd.exact import MatrixQ, UnitPoint
+from liemd.invariants import Fingerprint, IsoResult, PairOutcome
+from liemd.kirillov import GridSpec, MDVerdict, RankProfile
 from liemd.lie_core import LieAlgebra
 from conftest import random_invertible
 
@@ -178,8 +180,13 @@ def wide_523():
     return build("rejected.5.2.3").change_of_basis(MatrixQ(p))
 
 
-def test_no_command_imports_numpy(tmp_path):
-    # the strata of every grid are counted in pure Python, scanned or not
+# modules no command loads: the strata of every grid are counted in pure
+# Python, scanned or not, and the records are NamedTuples, because
+# dataclasses pulls in inspect, ast, dis and tokenize at every start-up
+FORBIDDEN_IMPORTS = {"numpy", "dataclasses", "inspect"}
+
+
+def test_no_command_imports_numpy_or_dataclasses(tmp_path):
     write_algebra(tmp_path / "538.json", build("5.3.8", parse_params("l=2,angle=3/5:4/5")))
     write_algebra(tmp_path / "545.json", build("5.4.5"))
     write_algebra(tmp_path / "algebra.json", build("rejected.5.2.3"))
@@ -203,9 +210,38 @@ def test_no_command_imports_numpy(tmp_path):
     ):
         stdout, imported = run_importtime(args, tmp_path)
         assert "liemd.kirillov" in imported, args
-        assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")], args
+        assert not [m for m in imported if m.split(".")[0] in FORBIDDEN_IMPORTS], args
         if args[2:4] == ["check", "algebra.json"]:
             assert stdout == golden("check_rejected.5.2.3.json")
+
+
+# each record with its required and its defaulted fields
+RECORDS = [
+    (UnitPoint, {"c": F(3, 5), "s": F(4, 5)}, {}),
+    (FamilyParams, {}, {"lambdas": (), "mu": None, "angle": None}),
+    (GridSpec, {}, {"radius": 2, "extra_random_samples": 200, "seed": 1}),
+    (RankProfile, {"histogram": {0: 1}, "witnesses": {0: (0,)}}, {}),
+    (MDVerdict, {"kind": "IsMD"},
+     dict.fromkeys(["max_dim", "proof", "witness_low", "witness_high",
+                    "max_rank_attained", "pfaffian_status", "samples_tested"])),
+    (Fingerprint, {"dims": (5,), "kirillov": ("IsMD",), "spectral": (None,)}, {}),
+    (IsoResult, {"kind": "Iso"}, dict.fromkeys(["witness", "field", "reason"])),
+    (PairOutcome, {"a": "x", "b": "y", "outcome": "separated"}, {"field": None}),
+]
+
+
+@pytest.mark.parametrize("record, required, defaults", RECORDS,
+                         ids=[record.__name__ for record, _, _ in RECORDS])
+def test_records_keep_their_fields_and_refuse_assignment(record, required, defaults):
+    # each record takes its fields by keyword, unpacks in that order and
+    # compares equal to the plain tuple of them
+    fields = {**required, **defaults}
+    r = record(**required)
+    assert tuple(r) == tuple(fields.values())
+    for name, value in fields.items():
+        assert getattr(r, name) == value
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
 
 
 def test_liemd_runs_without_numpy(tmp_path):
@@ -259,14 +295,14 @@ def analyze_counting(monkeypatch, family, params=""):
     monkeypatch.setattr(kirillov, "md_check", md_check)
     monkeypatch.setattr(cli, "md_check", md_check)
     monkeypatch.setattr(kirillov, "_count_strata", counted("strata", kirillov._count_strata))
-    record = cli._analyze(build(family, parse_params(params)), GridSpec())
-    return record, counts
+    g = build(family, parse_params(params))
+    return g, cli._analyze(g, GridSpec()), counts
 
 
 def test_analyze_computes_each_fact_once(monkeypatch):
     # a structural IsMD verdict: md_check reads no grid, and the profile
     # and the maximality check read one count of the strata
-    record, counts = analyze_counting(monkeypatch, "5.3.8", "l=2,angle=3/5:4/5")
+    _, record, counts = analyze_counting(monkeypatch, "5.3.8", "l=2,angle=3/5:4/5")
     assert record["md"]["verdict"] == "IsMD" and record["maximality"] == "holds"
     assert counts == {"G1": 1, "md_check": 1, "strata": 1}
 
@@ -274,9 +310,13 @@ def test_analyze_computes_each_fact_once(monkeypatch):
 def test_analyze_scans_a_nonstructural_grid_once(monkeypatch):
     # NotMD: the strata are counted once per grid, and md_check and the
     # profile both read that count
-    record, counts = analyze_counting(monkeypatch, "rejected.5.2.3")
+    g, record, counts = analyze_counting(monkeypatch, "rejected.5.2.3")
     assert record["md"]["verdict"] == "NotMD" and record["maximality"] is None
     assert counts == {"G1": 1, "md_check": 1, "strata": 1}
+    # an equal grid built anew hashes equal and reads the same count
+    assert hash(GridSpec(2, 200, 1)) == hash(GridSpec())
+    kirillov.rank_profile(g, GridSpec(2, 200, 1))
+    assert counts["strata"] == 1 and len(g.kirillov.strata) == 1
 
 
 def test_adjoints_commute_is_exact():
@@ -346,8 +386,6 @@ def test_catalog_build_round_trip(tmp_path, capsys):
     assert main(["catalog", "build", "5.3.8", "l=1,angle=3/5:4/5",
                  "-o", str(out_path)]) == 0
     loaded = LieAlgebra.from_dict(json.loads(out_path.read_text()))
-    from liemd.exact import UnitPoint
-    from fractions import Fraction as F
     expected = build("5.3.8", FamilyParams(
         lambdas=(1,), angle=UnitPoint(F(3, 5), F(4, 5))))
     assert loaded.brackets == expected.brackets

@@ -225,6 +225,7 @@ def test_pfaffian_vanishing_forbids_rank4(catalog_samples):
 # ---------------------------------------------------------------------------
 
 def test_grid_is_deterministic():
+    assert repr(GridSpec()) == "GridSpec(radius=2, extra_random_samples=200, seed=1)"
     spec = GridSpec(radius=1, extra_random_samples=10, seed=2)
     a = list(spec.covectors(3))
     b = list(spec.covectors(3))
@@ -273,15 +274,21 @@ def test_grid_caps_the_random_tail_before_drawing():
     limit = kirillov.MAX_TAIL_SAMPLES
     assert limit == 10 ** 6
     assert GridSpec(radius=1, extra_random_samples=limit).count(5) == 243 + limit
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=f"{limit + 1} extra samples requested"):
-            GridSpec(radius=1, extra_random_samples=limit + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # nothing is drawn: the tail alone would take 10 MB
-    assert peak < 64 * 1024
+    for kwargs, message in [
+        ({"radius": 1, "extra_random_samples": limit + 1}, f"{limit + 1} extra samples requested"),
+        ({"radius": 0, "extra_random_samples": limit}, "radius must be a positive"),
+        ({"extra_random_samples": -1}, "must be non-negative"),
+        ({"radius": 20, "extra_random_samples": limit}, "points in dimension 5"),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                GridSpec(**kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nothing is drawn: the tail alone would take 10 MB
+        assert peak < 64 * 1024, kwargs
 
 
 def test_tail_columns_enumerate_the_covectors():
