@@ -10,7 +10,6 @@ isomorphism tooling.
 
 from .exact import (
     MatrixQ,
-    PolyQ,
     Rational,
     UnitPoint,
     frobenius_form,
@@ -41,7 +40,6 @@ __all__ = [
     "LieAlgebra",
     "MDVerdict",
     "MatrixQ",
-    "PolyQ",
     "Rational",
     "Subspace",
     "UnitPoint",

@@ -249,10 +249,8 @@ def cmd_iso(args) -> int:
             print("Iso: verified basis-change witness found")
             for row in result.witness.data:
                 print("  [" + ", ".join(str(format_rational(x)) for x in row) + "]")
-        elif result.kind == "NotIso":
-            print(f"NotIso: distinguished by {result.field}")
         else:
-            print(f"Inconclusive: {result.reason}")
+            print(f"NotIso: distinguished by {result.field}")
     return EXIT_OK
 
 

@@ -566,133 +566,8 @@ def rational_kth_roots(q: Scalar, k: int) -> list[Fraction]:
 def pfaffian4(b12, b13, b14, b23, b24, b34):
     """Pfaffian from the strict upper triangle of a 4x4 skew matrix.
 
-    Works for rationals and for polynomial entries alike; its square is the
+    The entries are numbers, integers or ``Fraction``s; its square is the
     determinant of the skew matrix, so a skew 4x4 is singular iff this
     expression vanishes.
     """
     return b12 * b34 - b13 * b24 + b14 * b23
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q
-# ---------------------------------------------------------------------------
-
-class PolyQ:
-    """Sparse polynomial in a fixed number of variables, exact coefficients.
-
-    Terms map exponent tuples to nonzero Fractions.  Only small degrees
-    arise here (linear Kirillov entries and their quadratic sub-Pfaffians),
-    so the representation is kept deliberately simple.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for expo, coef in (terms or {}).items():
-            coef = Fraction(coef)
-            if coef == 0:
-                continue
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars:
-                raise ValueError("exponent arity mismatch")
-            clean[expo] = coef
-        self.terms = clean
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(nvars: int) -> "PolyQ":
-        return PolyQ(nvars)
-
-    @staticmethod
-    def constant(nvars: int, value: Scalar) -> "PolyQ":
-        return PolyQ(nvars, {(0,) * nvars: Fraction(value)})
-
-    @staticmethod
-    def linear_form(coeffs: Sequence[Scalar]) -> "PolyQ":
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                expo = tuple(1 if j == i else 0 for j in range(n))
-                terms[expo] = Fraction(c)
-        return PolyQ(n, terms)
-
-    # -- algebra ---------------------------------------------------------------
-
-    def _coerce(self, other) -> "PolyQ":
-        if isinstance(other, PolyQ):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        return PolyQ.constant(self.nvars, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for expo, coef in other.terms.items():
-            terms[expo] = terms.get(expo, ZERO) + coef
-        return PolyQ(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyQ(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyQ):
-            f = Fraction(other)
-            return PolyQ(self.nvars, {e: c * f for e, c in self.terms.items()})
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, ZERO) + c1 * c2
-        return PolyQ(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, PolyQ):
-            return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == PolyQ.constant(self.nvars, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = [f"f{i + 1}" for i in range(self.nvars)]
-        parts = []
-        for expo, coef in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for name, e in zip(names, expo):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coef))
-            elif coef == 1:
-                parts.append(body)
-            elif coef == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coef}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")

@@ -185,10 +185,9 @@ def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
 # ---------------------------------------------------------------------------
 
 class IsoResult(NamedTuple):
-    kind: str  # "Iso" | "NotIso" | "Inconclusive"
+    kind: str  # "Iso" | "NotIso"
     witness: MatrixQ | None = None
     field: str | None = None
-    reason: str | None = None
 
     def to_dict(self) -> dict:
         doc = {"result": self.kind}
@@ -197,8 +196,6 @@ class IsoResult(NamedTuple):
                               for row in self.witness.data]
         if self.field is not None:
             doc["field"] = self.field
-        if self.reason is not None:
-            doc["reason"] = self.reason
         return doc
 
 
@@ -328,12 +325,9 @@ def separation_matrix(instances: Sequence[tuple[str, LieAlgebra]],
                 result = iso_test_codim1(ga, gb)
                 if result.kind == "Iso":
                     out.append(PairOutcome(label_a, label_b, "iso-witnessed", None))
-                elif result.kind == "NotIso":
+                else:
                     out.append(PairOutcome(label_a, label_b, "separated",
                                            f"iso-test: {result.field}"))
-                else:
-                    out.append(PairOutcome(label_a, label_b, "unresolved",
-                                           result.reason))
                 continue
             out.append(PairOutcome(label_a, label_b, "unresolved",
                                    "equal fingerprints, no exact test applies"))

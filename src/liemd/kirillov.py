@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .exact import (
     MatrixQ,
-    PolyQ,
     ZERO,
     clear_denominators,
     format_vector,
@@ -221,30 +220,35 @@ def orbit_dim(g: LieAlgebra, f: Sequence) -> int:
 class SymbolicKirillovForm:
     """The Kirillov form with entries as linear forms in dual coordinates.
 
-    entries[i][j] is a PolyQ in f1..fn with entries[i][j] == -entries[j][i];
-    evaluating the entries at any covector reproduces ``b_form_at`` exactly.
+    entries[i][j] is the tuple of the n ``Fraction`` coefficients of b_ij in
+    f1..fn, and entries[j][i] is that tuple negated; evaluating the entries
+    at any covector reproduces ``b_form_at`` exactly.
     """
 
     __slots__ = ("dim", "entries")
 
     def __init__(self, n: int, upper: Sequence[Sequence]):
         """``upper[p]`` holds the coefficients of b_ij for the p-th pair i < j."""
-        zero = PolyQ.zero(n)
-        grid = [[zero] * n for _ in range(n)]
+        grid = [[(ZERO,) * n] * n for _ in range(n)]
         for (i, j), coeffs in zip(combinations(range(n), 2), upper):
-            form = PolyQ.linear_form(coeffs)
-            grid[i][j] = form
-            grid[j][i] = -form
+            grid[i][j] = tuple(map(Fraction, coeffs))
+            grid[j][i] = tuple(-c for c in grid[i][j])
         self.dim = n
-        self.entries = tuple(tuple(row) for row in grid)
+        self.entries = tuple(map(tuple, grid))
 
 
 def b_form_symbolic(g: LieAlgebra) -> SymbolicKirillovForm:
-    return g.kirillov.form
+    """The form of ``g`` in f1..fn, from ``KirillovData``: b(F) = T.(V.F) / D."""
+    kd = g.kirillov
+    cols = list(zip(*kd.v)) or [()] * kd.dim
+    return SymbolicKirillovForm(kd.dim, [[Fraction(sum(map(mul, coords, col)), kd._den)
+                                          for col in cols] for coords in kd.t])
 
 
-def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
-    """Sub-Pfaffians of the five 4x4 principal slices (dimension 5 only).
+def pfaffian_system(form: SymbolicKirillovForm) -> list[tuple[Fraction, ...]]:
+    """Sub-Pfaffians of the five 4x4 principal slices (dimension 5 only),
+    each as its 15 coefficients at f_a*f_b for a <= b in
+    ``combinations_with_replacement`` order, as ``KirillovData.quadrics``.
 
     All five vanish identically iff rank(B_F) <= 2 for every real covector,
     because the rank of a skew matrix is witnessed by a principal submatrix
@@ -252,8 +256,11 @@ def pfaffian_system(form: SymbolicKirillovForm) -> list[PolyQ]:
     """
     if form.dim != 5:
         raise ValueError("sub-Pfaffian system is only defined for dimension 5")
-    upper = [form.entries[i][j] for i, j in combinations(range(5), 2)]
-    return [pfaffian4(*(upper[p] for p in kept)) for kept in _SLICES]
+    den, flat = clear_denominators([c for i, j in combinations(range(5), 2)
+                                    for c in form.entries[i][j]])
+    rows = [flat[5 * p:5 * p + 5] for p in range(10)]
+    return [tuple(Fraction(c, den * den) for c in _quadric([rows[p] for p in kept]))
+            for kept in _SLICES]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +279,8 @@ class KirillovData:
       - ``quadrics`` (dimension 5 only): D^2 times the sub-Pfaffian of each
         principal 4x4 slice, a quadric in u, as its integer coefficients at
         u_a*u_b for a <= b in ``combinations_with_replacement`` order.
-    Zero quadrics mean rule 2 of ``md_check``; the PolyQ form is built only
-    on request, for ``b_form_symbolic``.
+    Zero quadrics mean rule 2 of ``md_check``; ``b_form_symbolic`` pulls
+    the form back to F from T.
     """
 
     def __init__(self, g: LieAlgebra):
@@ -293,12 +300,6 @@ class KirillovData:
         self._den = den * lead
         self.quadrics = [_quadric([self.t[p] for p in kept]) for kept in _SLICES] if n == 5 else []
         self.strata: dict[GridSpec, dict[int, tuple[int, int]]] = {}
-
-    @cached_property
-    def form(self) -> SymbolicKirillovForm:
-        cols = list(zip(*self.v)) or [()] * self.dim
-        return SymbolicKirillovForm(self.dim, [[Fraction(sum(map(mul, coords, col)), self._den)
-                                                for col in cols] for coords in self.t])
 
     def rank(self, u: Sequence[int]) -> int:
         """rank B_F for every F with V.F = u."""

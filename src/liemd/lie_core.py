@@ -113,16 +113,12 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         return self._holds(_cleared(vec, self.ambient)[1])
 
-    @property
-    def rows(self) -> tuple[Vector, ...]:
+    def basis(self) -> tuple[Vector, ...]:
         """The RREF rows as Fractions."""
         if self._basis is None:
             self._basis = tuple(tuple(Fraction(x, row[c]) for x in row)
                                 for row, c in zip(self.int_rows, self.pivots))
         return self._basis
-
-    def basis(self) -> tuple[Vector, ...]:
-        return self.rows
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:

@@ -8,19 +8,20 @@ Jacobi identity and basis changes expanded from ``g.brackets`` over
 ``Fraction``s, subspaces as ``rref`` rows of ``Fraction``s (spans,
 kernels, coordinates by solving, intersections, and from them the series,
 centralizers and ad on an invariant subspace), the covector grid
-enumerated point by point as ``Fraction``s, polynomial values term by
-term, primality by trial division, and the grid points that vanish on
+enumerated point by point as ``Fraction``s, polynomial and form values
+term by term, Pfaffians by expansion along a row, primality by trial division, and the grid points that vanish on
 G^1 by solving for their pivot coordinates.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
 ``frobenius_form`` and ``b_form_at``, and tests use them to state
-identities (Cayley-Hamilton, Frobenius blocks, similarity) and to rank a
-grid covector by covector.
+identities (Cayley-Hamilton, Frobenius blocks, similarity), to take the
+sub-Pfaffians of the form at a covector and to rank a grid covector by
+covector.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, isqrt, lcm
 
 from liemd.exact import MatrixQ, frobenius_form, mat_rank, poly_degree, poly_trim
@@ -324,16 +325,18 @@ def char_poly(m: MatrixQ) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def poly_evaluate(p, point) -> Fraction:
-    """Value of a ``PolyQ`` at a point, term by term over ``Fraction``s."""
-    if len(point) != p.nvars:
-        raise ValueError("point arity mismatch")
-    values = [Fraction(x) for x in point]
+def form_value(coeffs, point, degree: int) -> Fraction:
+    """Value at a point of a form of the given degree stored as its
+    coefficients at the monomials of ``combinations_with_replacement`` of
+    the coordinates, term by term over ``Fraction``s."""
+    monomials = list(combinations_with_replacement(range(len(point)), degree))
+    if len(coeffs) != len(monomials):
+        raise ValueError("coefficient count does not match the point")
     total = Fraction(0)
-    for expo, coef in p.terms.items():
-        term = coef
-        for x, e in zip(values, expo):
-            term *= x ** e
+    for c, monomial in zip(coeffs, monomials):
+        term = Fraction(c)
+        for a in monomial:
+            term *= Fraction(point[a])
         total += term
     return total
 
@@ -395,6 +398,26 @@ def skew4_from_upper(b12, b13, b14, b23, b24, b34) -> MatrixQ:
         [-b13, -b23, z, b34],
         [-b14, -b24, -b34, z],
     ])
+
+
+def pfaffian(rows) -> Fraction:
+    """Pfaffian of an even skew matrix by expansion along its first row."""
+    a = _rows_of(rows)
+    if not a:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(1, len(a)):
+        keep = [k for k in range(1, len(a)) if k != j]
+        total += (-1) ** (j + 1) * a[0][j] * pfaffian([[a[r][c] for c in keep] for r in keep])
+    return total
+
+
+def sub_pfaffians_at(g, f) -> list[Fraction]:
+    """Pfaffians of the five 4x4 principal slices of ``b_form_at(g, f)``,
+    the k-th without row and column k."""
+    b = b_form_at(g, f)
+    return [pfaffian([[b[r, c] for c in range(5) if c != k] for r in range(5) if r != k])
+            for k in range(5)]
 
 
 def grid_ranks(g, grid, memo=None) -> list[int]:

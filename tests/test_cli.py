@@ -225,7 +225,7 @@ RECORDS = [
      dict.fromkeys(["max_dim", "proof", "witness_low", "witness_high",
                     "max_rank_attained", "pfaffian_status", "samples_tested"])),
     (Fingerprint, {"dims": (5,), "kirillov": ("IsMD",), "spectral": (None,)}, {}),
-    (IsoResult, {"kind": "Iso"}, dict.fromkeys(["witness", "field", "reason"])),
+    (IsoResult, {"kind": "Iso"}, dict.fromkeys(["witness", "field"])),
     (PairOutcome, {"a": "x", "b": "y", "outcome": "separated"}, {"field": None}),
 ]
 

@@ -5,7 +5,6 @@ import pytest
 
 from liemd.exact import (
     MatrixQ,
-    PolyQ,
     UnitPoint,
     format_rational,
     frobenius_form,
@@ -26,7 +25,6 @@ from oracles import (
     matmul as oracle_matmul,
     minor_rank,
     poly_eval_matrix,
-    poly_evaluate,
     rref as oracle_rref,
     similar,
     skew4_from_upper,
@@ -416,25 +414,3 @@ def test_rational_kth_roots():
     assert rational_kth_roots(F(-4), 2) == []
     assert rational_kth_roots(F(1, 4), 2) == [F(1, 2), F(-1, 2)]
     assert rational_kth_roots(F(0), 3) == [F(0)]
-
-
-# ---------------------------------------------------------------------------
-# sparse polynomials
-# ---------------------------------------------------------------------------
-
-def test_polyq_arithmetic_and_eval():
-    f4 = PolyQ.linear_form([0, 0, 0, 1, 0])
-    f5 = PolyQ.linear_form([0, 0, 0, 0, 1])
-    p = f5 * f5 - 2 * f4
-    assert poly_evaluate(p, [0, 0, 0, F(1, 2), 3]) == 9 - 1
-    assert (p - p).is_zero()
-    assert not (p + 1).is_zero()
-    assert max(sum(e) for e in p.terms) == 2
-
-
-def test_polyq_never_stores_zero_coefficients():
-    f1 = PolyQ.linear_form([1, 0])
-    q = f1 - f1
-    assert q.terms == {}
-    r = f1 * 0
-    assert r.terms == {}

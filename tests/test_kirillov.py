@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from math import prod
 from operator import mul
 from pathlib import Path
@@ -14,7 +14,7 @@ import pytest
 
 from liemd import kirillov
 from liemd.catalog import FamilyParams, build, parse_params
-from liemd.exact import MatrixQ, PolyQ, clear_denominators, mat_rank
+from liemd.exact import MatrixQ, UnitPoint, clear_denominators, mat_rank
 from liemd.kirillov import (
     GridSpec,
     b_form_at,
@@ -34,9 +34,10 @@ from oracles import (
     grid_covectors,
     grid_ranks,
     is_prime,
+    form_value,
     minor_rank,
-    poly_evaluate,
     strata_of,
+    sub_pfaffians_at,
 )
 
 
@@ -66,8 +67,16 @@ def basis_changed_538():
     return g538().change_of_basis(MatrixQ(p))
 
 
-F5 = PolyQ.linear_form([0, 0, 0, 0, 1])
-F4 = PolyQ.linear_form([0, 0, 0, 1, 0])
+# coefficient tuples in f1..f5: the linear form f5, and the quadrics f5^2
+# and f4*f5 in ``combinations_with_replacement`` order
+F5 = (0, 0, 0, 0, 1)
+MONOMIALS = list(combinations_with_replacement(range(5), 2))
+F5F5 = tuple(int(m == (4, 4)) for m in MONOMIALS)
+F4F5 = tuple(int(m == (3, 4)) for m in MONOMIALS)
+
+
+def negated(coeffs):
+    return tuple(-c for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +132,14 @@ def test_symbolic_form_entries_of_central_extension():
     for i in range(5):
         for j in range(5):
             e = form.entries[i][j]
-            assert e.is_zero() or e == F5 or e == -F5
+            assert len(e) == 5
+            assert not any(e) or e == F5 or e == negated(F5)
+            assert form.entries[j][i] == negated(e)
 
 
 def test_symbolic_form_of_abelian_is_zero():
     form = b_form_symbolic(LieAlgebra.abelian(5))
-    assert all(e.is_zero() for row in form.entries for e in row)
+    assert not any(any(e) for row in form.entries for e in row)
 
 
 def test_symbolic_form_group3_support():
@@ -136,8 +147,8 @@ def test_symbolic_form_group3_support():
     form = b_form_symbolic(g)
     for i in range(2, 5):
         for j in range(2, 5):
-            assert form.entries[i][j].is_zero()
-    assert not form.entries[0][1].is_zero()
+            assert not any(form.entries[i][j])
+    assert any(form.entries[0][1])
 
 
 def test_symbolic_form_is_bordered_for_codim1_families(catalog_samples):
@@ -149,7 +160,7 @@ def test_symbolic_form_is_bordered_for_codim1_families(catalog_samples):
         form = b_form_symbolic(g)
         for i in range(1, 5):
             for j in range(1, 5):
-                assert form.entries[i][j].is_zero(), label
+                assert not any(form.entries[i][j]), label
 
 
 def test_symbolic_matches_numeric_everywhere(catalog_samples):
@@ -158,7 +169,7 @@ def test_symbolic_matches_numeric_everywhere(catalog_samples):
         form = b_form_symbolic(g)
         for _ in range(100):
             f = [random_rational(rng, 9, 9) for _ in range(5)]
-            assert MatrixQ([[poly_evaluate(e, f) for e in row]
+            assert MatrixQ([[form_value(e, f, 1) for e in row]
                             for row in form.entries]) == b_form_at(g, f)
 
 
@@ -168,25 +179,25 @@ def test_symbolic_matches_numeric_everywhere(catalog_samples):
 
 def test_pfaffian_system_central_extension():
     pfs = pfaffian_system(b_form_symbolic(g51()))
-    nonzero = [p for p in pfs if not p.is_zero()]
+    assert all(len(p) == 15 for p in pfs)
+    nonzero = [p for p in pfs if any(p)]
     assert len(nonzero) == 1
-    assert nonzero[0] in (F5 * F5, -(F5 * F5))
+    assert nonzero[0] in (F5F5, negated(F5F5))
 
 
 def test_pfaffian_system_group3_all_zero():
     for fid, params in [("5.3.1", FamilyParams(lambdas=(2, 3))),
                         ("5.3.7", FamilyParams()),
-                        ("5.3.8", FamilyParams(lambdas=(2,),
-                                               angle=__import__("liemd.exact", fromlist=["UnitPoint"]).UnitPoint(F(3, 5), F(4, 5))))]:
+                        ("5.3.8", FamilyParams(lambdas=(2,), angle=UnitPoint(F(3, 5), F(4, 5))))]:
         pfs = pfaffian_system(b_form_symbolic(build(fid, params)))
-        assert all(p.is_zero() for p in pfs)
+        assert not any(map(any, pfs))
 
 
 def test_pfaffian_system_rejected_case():
     pfs = pfaffian_system(b_form_symbolic(g523()))
-    nonzero = [p for p in pfs if not p.is_zero()]
+    nonzero = [p for p in pfs if any(p)]
     assert len(nonzero) == 1
-    assert nonzero[0] in (F4 * F5, -(F4 * F5))
+    assert nonzero[0] in (F4F5, negated(F4F5))
 
 
 def test_pfaffian_system_requires_dim5():
@@ -195,27 +206,52 @@ def test_pfaffian_system_requires_dim5():
         pfaffian_system(b_form_symbolic(g))
 
 
+def quadric_mismatches(g, quadrics, den, rng, points=3):
+    """The random covectors F at which the quadrics at u = V.F are not
+    den^2 times the sub-Pfaffians of ``b_form_at(g, F)``."""
+    v = g.kirillov.v
+    bad = []
+    for _ in range(points):
+        f = [random_rational(rng, 9, 9) for _ in range(5)]
+        u = [sum(a * x for a, x in zip(row, f)) for row in v]
+        if [form_value(q, u, 2) for q in quadrics] != [den ** 2 * p for p in sub_pfaffians_at(g, f)]:
+            bad.append(f)
+    return bad
+
+
 def test_quadrics_are_the_sub_pfaffians_in_u(catalog_algebras):
-    # each integer quadric at u = V.F is D^2 times the PolyQ sub-Pfaffian
-    # of its slice at F, on every sample, a basis change of each, and the
-    # 2^80 constants
+    # each integer quadric at u = V.F is D^2 times the sub-Pfaffian of its
+    # slice of b_form_at(g, F), which reads the bracket table and not T, and
+    # pfaffian_system at F is that sub-Pfaffian: on every sample, a basis
+    # change of each, and the 2^80 constants
     rng = random.Random(23)
     algebras = [g for _, g in catalog_algebras]
     algebras += [g.change_of_basis(random_invertible(rng, 5)) for g in algebras]
     for g in algebras + [huge_constants()]:
         kd = g.kirillov
+        assert not quadric_mismatches(g, kd.quadrics, kd._den, rng)
         pfs = pfaffian_system(b_form_symbolic(g))
         for _ in range(3):
             f = [random_rational(rng, 9, 9) for _ in range(5)]
-            u = [sum(a * x for a, x in zip(row, f)) for row in kd.v]
-            assert [kirillov._value(q, u) for q in kd.quadrics] == [
-                kd._den ** 2 * poly_evaluate(p, f) for p in pfs]
+            assert [form_value(p, f, 2) for p in pfs] == sub_pfaffians_at(g, f)
+
+
+def test_quadric_reference_rejects_a_doctored_t():
+    # a perturbed last row of T (the pair X4, X5) gives quadrics that the
+    # b_form_at reference tells apart, so the comparison above can fail
+    for g in (g51(), g523(), build("5.4.6", FamilyParams(lambdas=(F(2), F(3))))):
+        kd = g.kirillov
+        t = list(kd.t)
+        t[-1] = (t[-1][0] + 1,) + t[-1][1:]
+        doctored = [kirillov._quadric([t[p] for p in kept]) for kept in kirillov._SLICES]
+        assert quadric_mismatches(g, doctored, kd._den, random.Random(5))
+        assert not quadric_mismatches(g, kd.quadrics, kd._den, random.Random(5))
 
 
 def test_pfaffian_vanishing_forbids_rank4(catalog_samples):
     grid = GridSpec(radius=1, extra_random_samples=50, seed=3)
     for _, _, _, g in catalog_samples:
-        if all(p.is_zero() for p in pfaffian_system(b_form_symbolic(g))):
+        if not any(map(any, pfaffian_system(b_form_symbolic(g)))):
             profile = rank_profile(g, grid)
             assert 4 not in profile.histogram
 
