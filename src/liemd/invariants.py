@@ -298,6 +298,17 @@ def _is_codim1_commutative(g: LieAlgebra) -> bool:
             and g.derived_ideal_commutative())
 
 
+def labelled_fingerprint(instance: tuple[str, LieAlgebra],
+                         grid: GridSpec = GridSpec()) -> Fingerprint:
+    """The fingerprint of a (label, algebra) pair; a ``ValueError`` names
+    the label."""
+    label, g = instance
+    try:
+        return fingerprint(g, grid)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
 def separation_matrix(instances: Sequence[tuple[str, LieAlgebra]],
                       grid: GridSpec = GridSpec()) -> list[PairOutcome]:
     """Deterministic pairwise separation report.
@@ -306,12 +317,12 @@ def separation_matrix(instances: Sequence[tuple[str, LieAlgebra]],
     codim-1 algebras fall through to the exact scaled-similarity test.
     Anything left is reported unresolved.
     """
-    prints = []
-    for label, g in instances:
-        try:
-            prints.append(fingerprint(g, grid))
-        except ValueError as exc:
-            raise ValueError(f"{label}: {exc}") from exc
+    return separation_pairs(instances, [labelled_fingerprint(x, grid) for x in instances])
+
+
+def separation_pairs(instances: Sequence[tuple[str, LieAlgebra]],
+                     prints: Sequence[Fingerprint]) -> list[PairOutcome]:
+    """``separation_matrix`` given the fingerprints of the instances."""
     out = []
     for i in range(len(instances)):
         for j in range(i + 1, len(instances)):

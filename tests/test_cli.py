@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -181,9 +182,10 @@ def wide_523():
 
 
 # modules no command loads: the strata of every grid are counted in pure
-# Python, scanned or not, and the records are NamedTuples, because
-# dataclasses pulls in inspect, ast, dis and tokenize at every start-up
-FORBIDDEN_IMPORTS = {"numpy", "dataclasses", "inspect"}
+# Python, scanned or not, the records are NamedTuples, because
+# dataclasses pulls in inspect, ast, dis and tokenize at every start-up,
+# and verify-catalog and separate fan out by os.fork, not a process pool
+FORBIDDEN_IMPORTS = {"numpy", "dataclasses", "inspect", "multiprocessing", "concurrent"}
 
 
 def test_no_command_imports_numpy_or_dataclasses(tmp_path):
@@ -211,6 +213,9 @@ def test_no_command_imports_numpy_or_dataclasses(tmp_path):
         stdout, imported = run_importtime(args, tmp_path)
         assert "liemd.kirillov" in imported, args
         assert not [m for m in imported if m.split(".")[0] in FORBIDDEN_IMPORTS], args
+        if args[0] == "-c" or args[2] == "check":
+            # only the fan-out pickles, so start-up and check load no pickle
+            assert "pickle" not in imported, args
         if args[2:4] == ["check", "algebra.json"]:
             assert stdout == golden("check_rejected.5.2.3.json")
 
@@ -530,6 +535,88 @@ def test_separate_files(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["pairs"]) == 1
     assert doc["pairs"][0]["outcome"] == "separated"
+
+
+# ---------------------------------------------------------------------------
+# fan-out over the usable CPUs
+# ---------------------------------------------------------------------------
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_keeps_input_order_across_processes(monkeypatch):
+    report_cpus(monkeypatch, 2)
+    out = cli._fan_out(lambda x: (x, os.getpid()), range(6))
+    assert [x for x, _ in out] == list(range(6))
+    assert len({pid for _, pid in out}) >= 2
+    assert_no_child_left()
+
+
+def test_fan_out_children_leave_the_callers_output_alone(tmp_path):
+    # a child ends in os._exit: it neither flushes the caller's buffered
+    # stdout nor runs its exit handlers, so each appears once
+    code = ("import atexit, os, sys; from liemd import cli; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "atexit.register(print, 'exit'); sys.stdout.write('x'); "
+            "print(cli._fan_out(abs, [-1, -2, -3]))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout == "x[1, 2, 3]\nexit\n"
+
+
+def test_fan_out_on_one_cpu_forks_nothing(monkeypatch, capsys):
+    report_cpus(monkeypatch, 1)
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli._fan_out(lambda x: (x, os.getpid()), range(6)) == [
+        (x, os.getpid()) for x in range(6)]
+    # the golden tests of both commands run the forked path wherever two
+    # CPUs are usable; these run the serial one
+    assert main(["verify-catalog", "--json"]) == 0
+    assert capsys.readouterr().out == golden("verify_catalog.json")
+    assert main(["separate", "default", "--json"]) == 0
+    assert capsys.readouterr().out == golden("separate_default.json")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_separate_names_the_first_failing_file(cpus, tmp_path, monkeypatch, capsys):
+    # bad1 falls to the forked child's share and bad2 to the parent's; the
+    # first in input order is reported, as a serial run reports it
+    report_cpus(monkeypatch, cpus)
+    good = write_algebra(tmp_path / "good.json", build("5.1"))
+    bad = LieAlgebra.from_brackets(5, [(1, 2, {1: 1}), (1, 3, {2: 1})])
+    bad1 = write_algebra(tmp_path / "bad1.json", bad)
+    bad2 = write_algebra(tmp_path / "bad2.json", bad)
+    assert main(["separate", good, bad1, bad2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad1}: ") and "Jacobi" in captured.err
+    assert_no_child_left()
+
+
+def test_fan_out_reports_a_child_that_dies(monkeypatch):
+    report_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def fn(x):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(RuntimeError, match="ended without its results"):
+        cli._fan_out(fn, range(4))
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
