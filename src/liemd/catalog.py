@@ -72,33 +72,28 @@ class FamilyParams(_FamilyParams):
 
 
 def parse_params(text: str) -> FamilyParams:
-    """Parse "l1=2,l2=3,mu=1,angle=3/5:4/5" (also "l=2" for one lambda)."""
-    lambdas: dict[int, Fraction] = {}
-    mu = None
-    angle = None
+    """Parse "l1=2,l2=3,mu=1,angle=3/5:4/5" (also "l=2" for one lambda), each
+    parameter at most once."""
+    given: dict[str, Fraction | UnitPoint] = {}
     text = text.strip()
-    if text:
-        for chunk in text.split(","):
-            if "=" not in chunk:
-                raise ValueError(f"bad parameter chunk {chunk!r}")
-            key, _, value = chunk.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "l":
-                lambdas[1] = parse_rational(value)
-            elif key in ("l1", "l2", "l3"):
-                lambdas[int(key[1])] = parse_rational(value)
-            elif key == "mu":
-                mu = parse_rational(value)
-            elif key == "angle":
-                c, _, s = value.partition(":")
-                angle = UnitPoint(parse_rational(c), parse_rational(s))
-            else:
-                raise ValueError(f"unknown parameter {key!r}")
-    ordered = tuple(lambdas[k] for k in sorted(lambdas))
-    if len(ordered) != len(lambdas) or sorted(lambdas) != list(range(1, len(lambdas) + 1)):
+    for chunk in text.split(",") if text else ():
+        if "=" not in chunk:
+            raise ValueError(f"bad parameter chunk {chunk!r}")
+        key, _, value = chunk.partition("=")
+        key = "l1" if key.strip() == "l" else key.strip()
+        if key in given:
+            raise ValueError(f"repeated parameter {chunk.strip()!r}")
+        if key in ("l1", "l2", "l3", "mu"):
+            given[key] = parse_rational(value.strip())
+        elif key == "angle":
+            c, _, s = value.strip().partition(":")
+            given[key] = UnitPoint(parse_rational(c), parse_rational(s))
+        else:
+            raise ValueError(f"unknown parameter {key!r}")
+    lambdas = tuple(given[f"l{k}"] for k in (1, 2, 3) if f"l{k}" in given)
+    if any(f"l{k}" not in given for k in range(1, len(lambdas) + 1)):
         raise ValueError("lambda parameters must be l (or l1), l2, l3 without gaps")
-    return FamilyParams(lambdas=ordered, mu=mu, angle=angle)
+    return FamilyParams(lambdas=lambdas, mu=given.get("mu"), angle=given.get("angle"))
 
 
 # ---------------------------------------------------------------------------

@@ -306,9 +306,8 @@ def cmd_catalog_build(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     g = _load_algebra(args.file)
-    grid = _grid_from_args(args)
     try:
-        fp = fingerprint(g, grid)
+        fp = fingerprint(g)
     except ValueError as exc:
         raise SystemExit2(f"{args.file}: {exc}")
     doc = fp.to_dict()
@@ -349,9 +348,8 @@ def cmd_separate(args) -> int:
         instances = _default_instances()
     else:
         instances = [(path, _load_algebra(path)) for path in args.targets]
-    grid = _grid_from_args(args)
     try:
-        prints = _fan_out(lambda instance: labelled_fingerprint(instance, grid), instances)
+        prints = _fan_out(labelled_fingerprint, instances)
     except ValueError as exc:
         raise SystemExit2(str(exc))
     pairs = separation_pairs(instances, prints)
@@ -520,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fingerprint", help="basis-invariant fingerprint of an algebra file")
     p.add_argument("file")
-    add_grid_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("iso", help="exact isomorphism test (codim-1 commutative derived ideal)")
@@ -533,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="pairwise separation report")
     p.add_argument("targets", nargs="+",
                    help='"default" for the bundled catalog samples, or algebra files')
-    add_grid_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_separate)
 

@@ -1,16 +1,16 @@
 """Basis-invariant fingerprints and an exact isomorphism test.
 
-Every fingerprint field is a function of the isomorphism class over Q, so
-no field depends on the basis the algebra is written in: dimension data of
-characteristic subspaces, the structural MD verdict (kind, maximal orbit
-dimension, whether every sub-Pfaffian vanishes), and spectral data of the
-adjoint action on the derived ideal recorded up to the scaling that a
-choice of complement vector leaves free.  Where the algebra is an abelian
-codim-1 ideal plus a one-dimensional complement, isomorphism is decided
-exactly: the two algebras are isomorphic iff the complement's adjoint
-matrices are similar up to a nonzero rational factor, and a witness basis
-change is assembled from the two Frobenius transforms.  Pairs that neither
-mechanism settles are reported unresolved, never silently passed.
+Every fingerprint field is a function of the isomorphism class over Q and
+none reads a covector grid: dimension data of characteristic subspaces,
+the MD verdict a structural rule proves (else ``unproved``) with whether
+every sub-Pfaffian vanishes, and spectral data of the adjoint action on
+the derived ideal recorded up to the scaling that a choice of complement
+vector leaves free.  Where the algebra is an abelian codim-1 ideal plus a
+one-dimensional complement, isomorphism is decided exactly: the two
+algebras are isomorphic iff the complement's adjoint matrices are similar
+up to a nonzero rational factor, and a witness basis change is assembled
+from the two Frobenius transforms.  Pairs that neither mechanism settles
+are reported unresolved, never silently passed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .exact import (
     scaled_frobenius,
     scaled_invariant_factors,
 )
-from .kirillov import GridSpec, md_check
+from .kirillov import proved_verdict
 from .lie_core import LieAlgebra, Subspace
 
 Factors = tuple[tuple[Fraction, ...], ...]
@@ -152,13 +152,15 @@ class Fingerprint(NamedTuple):
         }
 
 
-def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
+def fingerprint(g: LieAlgebra, grid=None) -> Fingerprint:
     """Invariant separation record of a 5-dimensional solvable algebra.
 
-    Two presentations of one algebra have equal fingerprints; the grid is
-    used only by ``md_check``, whose structural summary is basis-free.
+    Two presentations of one algebra have equal fingerprints.  A verdict
+    that rules 1-3 of ``md_check`` do not prove is ``unproved``: whether a
+    grid meets a NotMD witness depends on the basis.  ``grid`` is not read;
+    ``perfbench/worker.py`` still passes it.
     """
-    g.require_jacobi()
+    proved = proved_verdict(g)
     dims = (
         g.dim,
         g.derived_dims(),
@@ -166,9 +168,9 @@ def fingerprint(g: LieAlgebra, grid: GridSpec = GridSpec()) -> Fingerprint:
         g.center().dim,
         g.derived_centralizer().dim,
     )
-    verdict = md_check(g, grid)
     pf_zero = not any(map(any, g.kirillov.quadrics))
-    kirillov = (verdict.kind, verdict.max_dim, pf_zero)
+    kirillov = (("unproved", None, pf_zero) if proved is None
+                else (proved.kind, proved.max_dim, pf_zero))
 
     mats = g.ad_on_derived()
     d_act = _operator_span_dim(mats)
@@ -298,26 +300,25 @@ def _is_codim1_commutative(g: LieAlgebra) -> bool:
             and g.derived_ideal_commutative())
 
 
-def labelled_fingerprint(instance: tuple[str, LieAlgebra],
-                         grid: GridSpec = GridSpec()) -> Fingerprint:
+def labelled_fingerprint(instance: tuple[str, LieAlgebra]) -> Fingerprint:
     """The fingerprint of a (label, algebra) pair; a ``ValueError`` names
     the label."""
     label, g = instance
     try:
-        return fingerprint(g, grid)
+        return fingerprint(g)
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from exc
 
 
 def separation_matrix(instances: Sequence[tuple[str, LieAlgebra]],
-                      grid: GridSpec = GridSpec()) -> list[PairOutcome]:
+                      grid=None) -> list[PairOutcome]:
     """Deterministic pairwise separation report.
 
     Fingerprints are compared first; equal fingerprints on a pair of
     codim-1 algebras fall through to the exact scaled-similarity test.
-    Anything left is reported unresolved.
+    Anything left is reported unresolved.  ``grid`` is not read.
     """
-    return separation_pairs(instances, [labelled_fingerprint(x, grid) for x in instances])
+    return separation_pairs(instances, [labelled_fingerprint(x) for x in instances])
 
 
 def separation_pairs(instances: Sequence[tuple[str, LieAlgebra]],

@@ -560,8 +560,6 @@ def _strata(g: LieAlgebra, grid: GridSpec) -> dict[int, tuple[int, int]]:
     return cache[grid]
 
 
-
-
 # ---------------------------------------------------------------------------
 # the MD verdict
 # ---------------------------------------------------------------------------
@@ -621,13 +619,7 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
          ranks give NotMD with verified witnesses, anything else is
          Inconclusive.  Sampling never proves IsMD.
     """
-    g.require_jacobi()
-    if not g.is_solvable():
-        raise ValueError("MD analysis requires a solvable algebra")
-    if g.dim != 5:
-        raise ValueError("MD analysis is implemented for dimension 5 only")
-
-    verdict = _structural_verdict(g)
+    verdict = proved_verdict(g)
     if verdict is not None:
         return verdict
     strata = _strata(g, grid)
@@ -647,6 +639,17 @@ def md_check(g: LieAlgebra, grid: GridSpec = GridSpec()) -> MDVerdict:
         pfaffian_status="nonzero",
         samples_tested=grid.count(g.dim),
     )
+
+
+def proved_verdict(g: LieAlgebra) -> MDVerdict | None:
+    """The IsMD verdict that rules 1-3 of ``md_check`` prove without a grid,
+    or None; ``ValueError`` on an algebra ``md_check`` cannot analyse."""
+    g.require_jacobi()
+    if not g.is_solvable():
+        raise ValueError("MD analysis requires a solvable algebra")
+    if g.dim != 5:
+        raise ValueError("MD analysis is implemented for dimension 5 only")
+    return _structural_verdict(g)
 
 
 def _structural_verdict(g: LieAlgebra) -> MDVerdict | None:

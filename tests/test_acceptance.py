@@ -265,7 +265,7 @@ def test_criterion_09_basis_invariance(catalog_samples):
     problems = []
     changes = 0
     for label, _, _, g in catalog_samples:
-        base_print = fingerprint(g, GRID)
+        base_print = fingerprint(g)
         base_verdict = md_check(g, GRID).structural_summary()
         for _ in range(20):
             p = random_invertible(rng, 5)
@@ -273,7 +273,7 @@ def test_criterion_09_basis_invariance(catalog_samples):
             if md_check(moved, GRID).structural_summary() != base_verdict:
                 problems.append(f"{label}: verdict changed under basis change")
                 break
-            if fingerprint(moved, GRID) != base_print:
+            if fingerprint(moved) != base_print:
                 problems.append(f"{label}: fingerprint changed under basis change")
                 break
             changes += 1

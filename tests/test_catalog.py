@@ -177,6 +177,11 @@ def test_parse_params_rejects_garbage():
         parse_params("q=1")
     with pytest.raises(ValueError):
         parse_params("l")
+    # a repeated parameter, where l and l1 name one parameter
+    for text in ("l1=2,l=3", "l=2,l1=3", "l=2,l=3", "l1=2,l2=3,l2=5",
+                 "l=2,mu=1,mu=2", "angle=3/5:4/5,angle=-3/5:4/5"):
+        with pytest.raises(ValueError, match="repeated parameter"):
+            parse_params(text)
 
 
 def test_sample_label_formats():

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from liemd import cli, kirillov
-from liemd.catalog import FamilyParams, build, parse_params
+from liemd.catalog import FamilyParams, build, default_samples, parse_params
 from liemd.cli import main
 from liemd.exact import MatrixQ, UnitPoint
-from liemd.invariants import Fingerprint, IsoResult, PairOutcome
+from liemd.invariants import Fingerprint, IsoResult, PairOutcome, fingerprint
 from liemd.kirillov import GridSpec, MDVerdict, RankProfile
 from liemd.lie_core import LieAlgebra
-from conftest import random_invertible
+from conftest import hidden_523, random_invertible
 
 
 def write_algebra(path, g: LieAlgebra):
@@ -468,10 +468,13 @@ def _latin1_check(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (_jacobi_failure_orbit_dim, "Jacobi"),
     (lambda tmp_path: ["catalog", "build", "9.9"], "unknown family id '9.9'"),
+    (lambda tmp_path: ["catalog", "build", "5.2.2", "l1=2,l=3"],
+     "bad parameters: repeated parameter 'l=3'"),
     (_latin1_check, "cannot read"),
     (lambda tmp_path: ["catalog", "build", "5.1", "-o", str(tmp_path / "no-dir" / "x.json")],
      "cannot write"),
-], ids=["orbit-dim-jacobi", "unknown-family", "not-utf8", "unwritable-output"])
+], ids=["orbit-dim-jacobi", "unknown-family", "repeated-parameter", "not-utf8",
+        "unwritable-output"])
 def test_cli_errors_exit2_without_traceback(argv, message, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -530,11 +533,44 @@ def test_separate_default_json_matches_golden(capsys):
 def test_separate_files(tmp_path, capsys):
     a = write_algebra(tmp_path / "a.json", build("5.1"))
     b = write_algebra(tmp_path / "b.json", build("5.2.1"))
-    assert main(["separate", a, b, "--json",
-                 "--grid-radius", "1", "--samples", "10"]) == 0
+    assert main(["separate", a, b, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["pairs"]) == 1
     assert doc["pairs"][0]["outcome"] == "separated"
+
+
+def test_a_grid_that_misses_the_rank_2_locus_splits_nothing(tmp_path, capsys):
+    # check reports what its grid saw in the presentation it is given, so
+    # the two presentations differ there; fingerprint and separate read no
+    # grid, so they do not
+    a = write_algebra(tmp_path / "r523.json", build("rejected.5.2.3"))
+    b = write_algebra(tmp_path / "hidden.json", hidden_523())
+    for path, verdict in ((a, "NotMD"), (b, "Inconclusive")):
+        assert main(["check", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["md"]["verdict"] == verdict
+    prints = []
+    for path in (a, b):
+        assert main(["fingerprint", path]) == 0
+        prints.append({**json.loads(capsys.readouterr().out), "file": None})
+    assert prints[0] == prints[1]
+    assert prints[0]["kirillov"] == {"verdict": "unproved", "max_dim": None,
+                                     "pfaffians_all_zero": False}
+    assert main(["separate", a, b, "--json"]) == 0
+    [pair] = json.loads(capsys.readouterr().out)["pairs"]
+    assert pair["outcome"] == "unresolved"
+
+
+def test_fingerprint_and_separate_read_no_grid(monkeypatch, capsys):
+    def untouched(*args):
+        raise AssertionError("grid read")
+
+    for name in ("covector", "tail_columns"):
+        monkeypatch.setattr(GridSpec, name, untouched)
+    monkeypatch.setattr(kirillov, "_count_strata", untouched)
+    for fid, params in default_samples():
+        fingerprint(build(fid, params))
+    assert main(["separate", "default", "--json"]) == 0
+    assert capsys.readouterr().out == golden("separate_default.json")
 
 
 # ---------------------------------------------------------------------------
