@@ -26,8 +26,6 @@ from .lie_core import LieAlgebra
 
 F = Fraction
 
-GROUP_OF = {}  # family id -> dim of the derived ideal
-
 FAMILY_IDS = (
     "5.1",
     "5.2.1", "5.2.2",
@@ -36,11 +34,6 @@ FAMILY_IDS = (
     "5.4.9", "5.4.10", "5.4.11", "5.4.12", "5.4.13", "5.4.14",
 )
 REJECTED_IDS = ("rejected.5.2.3", "rejected.3.2a")
-
-for _id in FAMILY_IDS:
-    GROUP_OF[_id] = int(_id.split(".")[1])
-GROUP_OF["rejected.5.2.3"] = 2
-GROUP_OF["rejected.3.2a"] = 3
 
 
 class _FamilyParams(NamedTuple):

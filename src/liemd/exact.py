@@ -287,14 +287,6 @@ def poly_degree(p: Sequence[Fraction]) -> int:
     return len(poly_trim(p)) - 1
 
 
-def poly_monic(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    p = poly_trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
 def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
@@ -320,23 +312,6 @@ def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]):
         while p and p[-1] == 0:
             p.pop()
     return poly_trim(quot), poly_trim(p)
-
-
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    a, b = poly_trim(p), poly_trim(q)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
-
-
-def poly_lcm(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return ()
-    g = poly_gcd(p, q)
-    quot, rem = poly_divmod(poly_mul(p, q), g)
-    assert not rem
-    return poly_monic(quot)
 
 
 def poly_divides(p: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
@@ -368,6 +343,14 @@ def scaled_invariant_factors(factors: Sequence[Sequence[Fraction]],
 # Frobenius (rational canonical) form
 # ---------------------------------------------------------------------------
 
+def _krylov(m: MatrixQ, v: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
+    """v, mv, ..., m^n v for the n x n matrix m."""
+    krylov = [tuple(v)]
+    for _ in range(m.rows):
+        krylov.append(m.apply(krylov[-1]))
+    return krylov
+
+
 def _vector_annihilator(m: MatrixQ, v: Sequence[Fraction]):
     """Monic minimal polynomial of v under m, with the Krylov chain.
 
@@ -375,9 +358,7 @@ def _vector_annihilator(m: MatrixQ, v: Sequence[Fraction]):
     m^d v depends on its predecessors so do all later powers, so the pivots
     are the first d columns, and column d expresses m^d v in the chain.
     """
-    krylov = [tuple(v)]
-    for _ in range(m.rows):
-        krylov.append(m.apply(krylov[-1]))
+    krylov = _krylov(m, v)
     red, pivots = MatrixQ.from_columns(krylov).rref()
     d = len(pivots)
     return tuple(-red.data[j][d] for j in range(d)) + (ONE,), krylov[:d]
@@ -387,56 +368,53 @@ def _maximal_vector(m: MatrixQ):
     """Annihilator and Krylov chain of a vector whose annihilator is the
     minimal polynomial of m.
 
-    Greedy combination over the standard basis, starting from e_0: the
-    annihilator of e_i is computed only when the scan reaches it, so a
-    cyclic e_0 (annihilator of degree n) costs one Krylov run.  For a
-    wrong mixing scalar c the annihilator of v + c*e drops below lcm only
-    on finitely many c (at most one per maximal divisor), so a short scan
-    always succeeds; c = 0 never raises the degree and is skipped.  The
-    chain starts at the chosen vector.
+    Greedy combination over the standard basis, starting from v = e_0.
+    Every degree is a Krylov rank: deg ann(v) is the rank of the rows m^j v,
+    and deg lcm(ann v, ann e) that of the rows (m^j v | m^j e), j = 0..n,
+    since the polynomials killing both vectors form the ideal of the lcm.
+    e_i is skipped when it does not raise that degree.  Otherwise
+    v + c*e, whose rows m^j v + c*m^j e come from those already computed,
+    replaces v at the first c >= 1 that reaches it: the degree drops below
+    the lcm only on finitely many c (at most one per maximal divisor), and
+    c = 0 never raises it.  A cyclic e_0 costs one Krylov run.
     """
     n = m.rows
-    ann, chain = _vector_annihilator(m, tuple(ONE if j == 0 else ZERO for j in range(n)))
+    rows = _krylov(m, tuple(ONE if j == 0 else ZERO for j in range(n)))
+    deg = mat_rank(MatrixQ(rows))
     for i in range(1, n):
-        if len(chain) == n:
+        if deg == n:
             break
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        joint = poly_lcm(ann, _vector_annihilator(m, e)[0])
-        if poly_degree(joint) == poly_degree(ann):
+        rows_e = _krylov(m, tuple(ONE if j == i else ZERO for j in range(n)))
+        joint = mat_rank(MatrixQ([a + b for a, b in zip(rows, rows_e)]))
+        if joint == deg:
             continue
         for c in range(1, n + 3):
-            cand = tuple(a + c * b for a, b in zip(chain[0], e))
-            ann_c, chain_c = _vector_annihilator(m, cand)
-            if poly_degree(ann_c) == poly_degree(joint):
-                ann, chain = ann_c, chain_c
+            cand = [tuple(x + c * y for x, y in zip(a, b)) for a, b in zip(rows, rows_e)]
+            if mat_rank(MatrixQ(cand)) == joint:
+                rows, deg = cand, joint
                 break
         else:
             raise AssertionError("maximal vector mixing scan failed")
-    return ann, chain
+    return _vector_annihilator(m, rows[0])
 
 
 def _invariant_complement(m: MatrixQ, chain: list[tuple[Fraction, ...]]):
     """m-invariant complement of the cyclic subspace spanned by `chain`.
 
     Pick a functional f with f(m^j v) = delta(j, d-1); the largest
-    m-invariant subspace inside ker f intersects the cyclic space trivially
-    and has the complementary dimension.
+    m-invariant subspace inside ker f, the kernel of the rows (m^T)^j f,
+    intersects the cyclic space trivially and has the complementary
+    dimension.
     """
-    n = m.rows
     d = len(chain)
-    krylov_t = MatrixQ(chain)  # d x n, rows are m^j v
     rhs = [ZERO] * d
     rhs[d - 1] = ONE
-    f = krylov_t.solve(rhs)
-    assert f is not None
-    rows = []
-    current = tuple(f)
-    mt = m.transpose()
-    for _ in range(n):
-        rows.append(current)
-        current = mt.apply(current)
-    basis = MatrixQ(rows).nullspace()
-    assert len(basis) == n - d
+    f = MatrixQ(chain).solve(rhs)  # rows of MatrixQ(chain) are m^j v
+    if f is None:
+        raise AssertionError("Krylov chain is not independent")
+    basis = MatrixQ(_krylov(m.transpose(), f)).nullspace()
+    if len(basis) != m.rows - d:
+        raise AssertionError("complement has the wrong dimension")
     return basis
 
 
@@ -448,52 +426,39 @@ def frobenius_form(m: MatrixQ):
     Two square matrices over Q are similar iff these lists coincide.
 
     The largest factor comes from one Krylov chain of a maximal vector
-    (``_maximal_vector``), the rest from the same procedure on an invariant
-    complement; the columns of P^-1 are the chains.  Every choice made
-    depends only on annihilator degrees, which is why ``scaled_frobenius``
-    can derive the form of c*M from this one.
+    (``_maximal_vector``), the next from the same procedure on an invariant
+    complement, and so on; the columns of P^-1 are the chains.  Every
+    choice made depends only on annihilator degrees, which is why
+    ``scaled_frobenius`` can derive the form of c*M from this one.
     """
     if not m.is_square():
         raise ValueError("Frobenius form of non-square matrix")
-    n = m.rows
-    factors_desc = []
-    basis_chains_desc = []
-
-    def decompose(mat: MatrixQ, embed: list[tuple[Fraction, ...]]):
-        # embed maps the local coordinates back into the original space
-        if mat.rows == 0:
-            return
+    factors, chains = [], []
+    # rows of `basis`: the current complement in the original coordinates
+    # (None for the whole space)
+    mat, basis = m, None
+    while mat.rows:
         ann, chain = _maximal_vector(mat)
-        factors_desc.append(ann)
-        basis_chains_desc.append([_lift(vec, embed) for vec in chain])
-        if len(chain) < mat.rows:
-            comp = _invariant_complement(mat, chain)
-            k = len(comp)
-            # one rref of [comp | images] gives every image's coordinates
-            # over comp, and a pivot past column k an image outside its span
-            red, pivots = MatrixQ.from_columns(comp + [mat.apply(w) for w in comp]).rref()
-            if pivots != tuple(range(k)):
-                raise AssertionError("complement is not invariant")
-            restricted = MatrixQ([row[k:] for row in red.data[:k]])
-            decompose(restricted, [_lift(w, embed) for w in comp])
+        factors.append(ann)
+        chains.append(MatrixQ(chain) if basis is None else MatrixQ(chain) @ basis)
+        if len(chain) == mat.rows:
+            break
+        comp = _invariant_complement(mat, chain)
+        k = len(comp)
+        # one rref of [comp | images] gives every image's coordinates over
+        # comp, and a pivot past column k an image outside its span
+        red, pivots = MatrixQ.from_columns(comp + [mat.apply(w) for w in comp]).rref()
+        if pivots != tuple(range(k)):
+            raise AssertionError("complement is not invariant")
+        mat = MatrixQ([row[k:] for row in red.data[:k]])
+        basis = MatrixQ(comp) if basis is None else MatrixQ(comp) @ basis
 
-    def _lift(vec, embed):
-        out = [ZERO] * n
-        for coef, base in zip(vec, embed):
-            for i in range(n):
-                out[i] += coef * base[i]
-        return tuple(out)
-
-    identity_embed = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-    decompose(m, identity_embed)
-
-    factors = list(reversed(factors_desc))
-    chains = list(reversed(basis_chains_desc))
+    factors.reverse()
+    chains.reverse()
     for small, large in zip(factors, factors[1:]):
-        assert poly_divides(small, large), "invariant factor chain broken"
-    columns = [vec for chain in chains for vec in chain]
-    q = MatrixQ.from_columns(columns)
-    p = q.inverse()
+        if not poly_divides(small, large):
+            raise AssertionError("invariant factor chain broken")
+    p = MatrixQ.from_columns([vec for chain in chains for vec in chain.data]).inverse()
     return factors, p
 
 

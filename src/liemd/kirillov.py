@@ -577,7 +577,13 @@ class MDVerdict(NamedTuple):
     samples_tested: int | None = None
 
     def structural_summary(self) -> tuple:
-        """The basis-independent part: kind, max dimension, proof tag."""
+        """Kind, max dimension and proof tag, without the witnesses.
+
+        Not basis-independent in general: NotMD and Inconclusive rest on
+        the grid, which may miss the rank-2 locus in one basis and meet it
+        in another (``rejected.5.2.3``).  An IsMD summary comes from a proof
+        and does not depend on the basis.
+        """
         return (self.kind, self.max_dim, self.proof)
 
     def to_dict(self, histogram: dict[int, int] | None = None) -> dict:

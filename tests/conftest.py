@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from liemd.catalog import build, default_samples, sample_label
+from liemd.catalog import FAMILY_IDS, build, default_samples, sample_label
 from liemd.exact import MatrixQ
+
+# family id -> dim of the derived ideal: the group number of a catalog
+# family, and the dimension each rejected specimen was built with
+GROUP_OF = {fid: int(fid.split(".")[1]) for fid in FAMILY_IDS}
+GROUP_OF.update({"rejected.5.2.3": 2, "rejected.3.2a": 3})
 
 
 @pytest.fixture(scope="session")

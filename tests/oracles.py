@@ -341,6 +341,12 @@ def form_value(coeffs, point, degree: int) -> Fraction:
     return total
 
 
+def poly_monic(p) -> tuple[Fraction, ...]:
+    """p divided by its leading coefficient, trimmed; () for p = 0."""
+    p = poly_trim(p)
+    return tuple(c / p[-1] for c in p) if p else p
+
+
 def poly_eval_matrix(p, m: MatrixQ) -> MatrixQ:
     """p(M) for ascending coefficients p, summing scaled powers of M."""
     result = MatrixQ.zero(m.rows, m.cols)

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from liemd.catalog import FamilyParams, GROUP_OF, build, default_samples
+from liemd.catalog import FamilyParams, build, default_samples
 from liemd.cli import main as cli_main
 from liemd.exact import MatrixQ
 from liemd.invariants import fingerprint
@@ -30,7 +30,7 @@ from liemd.kirillov import (
     pfaffian_system,
 )
 from liemd.lie_core import LieAlgebra
-from conftest import random_invertible, random_rational
+from conftest import GROUP_OF, random_invertible, random_rational
 from oracles import grid_ranks, kernel_dim, minor_rank
 
 GRID = GridSpec()  # radius 2, 200 extra samples, seed 1

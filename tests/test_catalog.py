@@ -4,7 +4,6 @@ import pytest
 
 from liemd.catalog import (
     FAMILY_IDS,
-    GROUP_OF,
     REJECTED_IDS,
     FamilyParams,
     build,
@@ -15,6 +14,7 @@ from liemd.catalog import (
     validate_params,
 )
 from liemd.exact import MatrixQ, UnitPoint
+from conftest import GROUP_OF
 
 A1 = UnitPoint(F(3, 5), F(4, 5))
 

@@ -79,6 +79,33 @@ def test_check_invalid_json_exit2_with_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def _deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return path, "nested too deeply"
+
+
+def _long_integer(tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python does not limit integer literals")
+    path = tmp_path / "digits.json"
+    path.write_text('{"dim": ' + "9" * (limit + 1) + "}", encoding="utf-8")
+    return path, "digits"
+
+
+@pytest.mark.parametrize("command", ["check", "iso"])
+@pytest.mark.parametrize("hostile", [_deeply_nested, _long_integer], ids=["deep", "digits"])
+def test_hostile_json_exit2_without_traceback(command, hostile, tmp_path, capsys):
+    # json.load raises RecursionError and ValueError on these, not
+    # JSONDecodeError
+    path, message = hostile(tmp_path)
+    argv = [command, str(path)] + ([str(path)] if command == "iso" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_check_unknown_field_exit2(tmp_path, capsys):
     path = write_json(tmp_path / "unknown.json",
                       {"dim": 2, "brackets": [], "comment": "hi"})
@@ -306,7 +333,7 @@ def analyze_counting(monkeypatch, family, params=""):
 
 def test_analyze_computes_each_fact_once(monkeypatch):
     # a structural IsMD verdict: md_check reads no grid, and the profile
-    # and the maximality check read one count of the strata
+    # reads one count of the strata
     _, record, counts = analyze_counting(monkeypatch, "5.3.8", "l=2,angle=3/5:4/5")
     assert record["md"]["verdict"] == "IsMD" and record["maximality"] == "holds"
     assert counts == {"G1": 1, "md_check": 1, "strata": 1}
@@ -718,6 +745,16 @@ def test_verify_catalog_reports_maximality(verify_json):
 def test_verify_catalog_json_matches_golden(verify_json):
     _, out = verify_json
     assert out == golden("verify_catalog.json")
+
+
+def test_maximality_comes_from_the_proof(monkeypatch, capsys):
+    # every IsMD rule proves the maximality that the output reports, so no
+    # command scans a grid for a violator
+    def scanned(*args, **kwargs):
+        raise AssertionError("maximality scanned on a grid")
+    monkeypatch.setattr(cli, "nonvanishing_maximality_check", scanned, raising=False)
+    assert main(["verify-catalog", "--json"]) == 0
+    assert capsys.readouterr().out == golden("verify_catalog.json")
 
 
 def test_verify_catalog_json_round_trips(verify_json):

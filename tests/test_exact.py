@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -7,12 +12,12 @@ from liemd.exact import (
     MatrixQ,
     UnitPoint,
     format_rational,
+    format_vector,
     frobenius_form,
     mat_rank,
     parse_rational,
     pfaffian4,
     poly_divides,
-    poly_monic,
     poly_mul,
     rational_kth_roots,
 )
@@ -25,11 +30,13 @@ from oracles import (
     matmul as oracle_matmul,
     minor_rank,
     poly_eval_matrix,
+    poly_monic,
     rref as oracle_rref,
     similar,
     skew4_from_upper,
     solve_is_zero_vector,
 )
+from conftest import random_invertible, random_rational
 
 
 def skew5(entries):
@@ -319,6 +326,94 @@ def test_frobenius_random_transform_and_divisibility():
         for f in factors:
             product = poly_mul(product, f)
         assert poly_monic(product) == poly_monic(char_poly(m))
+
+
+def _random_similarity(rng: random.Random, n: int) -> MatrixQ:
+    while True:
+        q = MatrixQ([[random_rational(rng) for _ in range(n)] for _ in range(n)])
+        if mat_rank(q) == n:
+            return q
+
+
+def _frobenius_golden_cases(catalog_algebras):
+    """(label, matrix) pairs: seeded 1x1-5x5 rational matrices; block
+    diagonal matrices of Jordan and rotation blocks, most of them
+    derogatory, as given and under two random rational similarities; zero and scalar matrices; every nonzero ad on G^1 of the
+    samples, in their own basis and in three random ones."""
+    rng = random.Random(83)
+    for n in range(1, 6):
+        for k in range(12):
+            rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if k % 2 else rng.randint(-3, 3)
+                     for _ in range(n)] for _ in range(n)]
+            yield f"random {n}x{n} #{k}", MatrixQ(rows)
+    jordan = {
+        "diag(1, 1, 2)": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        "diag(2, 2, 3, 3)": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+        "diag(1, 1, 1, -2, -2)": [[int(i == j) * (1 if i < 3 else -2) for j in range(5)]
+                                  for i in range(5)],
+        "J2(1) + J1(1)": [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+        "J2(0) + J2(0)": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+        "J3(2) + J1(2)": [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+        "J2(1) + J2(1) + J1(1)": [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 0],
+                                  [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+        "J3(0) + J2(0)": [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]],
+        "J2(3) + J1(3) + J2(-1)": [[3, 1, 0, 0, 0], [0, 3, 0, 0, 0], [0, 0, 3, 0, 0],
+                                   [0, 0, 0, -1, 1], [0, 0, 0, 0, -1]],
+        "rot + rot": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        "rot + J1(1/2)": [[0, -1, 0], [1, 0, 0], [0, 0, F(1, 2)]],
+    }
+    for name, rows in jordan.items():
+        m = MatrixQ(rows)
+        yield name, m
+        for k in range(2):
+            q = _random_similarity(rng, m.rows)
+            yield f"{name} similar #{k}", q @ m @ q.inverse()
+    for n in range(1, 6):
+        yield f"zero {n}x{n}", MatrixQ.zero(n)
+        for c in (1, -2, F(3, 4)):
+            yield f"scalar {c} {n}x{n}", identity(n).scale(c)
+    for label, g in catalog_algebras:
+        for b in range(4):
+            h = g if b == 0 else g.change_of_basis(random_invertible(rng, 5))
+            for i, m in enumerate(h.ad_on_derived()):
+                if not m.is_zero():
+                    yield f"{label} basis {b} ad {i}", m
+
+
+def _frobenius_golden_text(catalog_algebras) -> str:
+    lines = []
+    for label, m in _frobenius_golden_cases(catalog_algebras):
+        factors, p = frobenius_form(m)
+        lines.append(json.dumps({"case": label,
+                                 "factors": [format_vector(f) for f in factors],
+                                 "p": [format_vector(row) for row in p.data]}))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_frobenius_forms_match_golden(catalog_algebras):
+    """Factors and P of every case, byte for byte as first recorded."""
+    golden = Path(__file__).parent / "golden" / "frobenius_forms.json"
+    assert _frobenius_golden_text(catalog_algebras) == golden.read_text(encoding="utf-8")
+
+
+def test_broken_factor_chain_raises_in_optimized_mode():
+    # python -O strips assert statements; the divisibility check on the
+    # invariant factors must still raise
+    code = "\n".join([
+        "import sys",
+        "from liemd import exact",
+        "exact.poly_divides = lambda p, q: False",
+        "try:",
+        "    exact.frobenius_form(exact.MatrixQ([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))",
+        "    print(sys.flags.optimize, 'accepted')",
+        "except AssertionError as exc:",
+        "    print(sys.flags.optimize, 'raised:', exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.startswith("1 raised: invariant factor chain broken"), done.stdout
 
 
 def test_scaled_invariant_factors_identity():
