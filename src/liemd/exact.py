@@ -3,11 +3,13 @@
 Everything in this module is exact: scalars are arbitrary-precision
 rationals (``fractions.Fraction``) or Python integers, and one
 fraction-free elimination on integer rows, ``rref_int``, is the only row
-reduction.  ``MatrixQ.rref`` clears its rows and runs it, so ranks,
-kernels, solves, inverses and Krylov annihilators all go through it, and
+reduction.  Ranks, kernels (``nullspace_int``) and inverses go through
+it, ``MatrixQ.rref`` by clearing its rows first, and
 ``lie_core.Subspace`` keeps its primitive integer rows without building a
 ``Fraction``.  Similarity classes are decided through the rational
-(Frobenius) canonical form.  No floating point appears anywhere.
+(Frobenius) canonical form, whose Krylov rows, annihilators and
+invariant complements are integer rows passed straight to ``rref_int``.
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -189,24 +191,6 @@ class MatrixQ:
         out += [[ZERO] * self.cols for _ in range(self.rows - len(pivots))]
         return MatrixQ(out, self.cols), pivots
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the right kernel, one vector per free column, 1 there."""
-        den, basis = nullspace_int([clear_denominators(row)[1] for row in self.data], self.cols)
-        return [tuple(Fraction(x, den) for x in vec) for vec in basis]
-
-    def solve(self, rhs: Sequence[Scalar]) -> tuple[Fraction, ...] | None:
-        """One exact solution of self @ x = rhs, or None if inconsistent."""
-        if len(rhs) != self.rows:
-            raise ValueError("rhs length mismatch")
-        aug = MatrixQ([list(row) + [Fraction(b)] for row, b in zip(self.data, rhs)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
-        return tuple(x)
-
     def inverse(self) -> "MatrixQ":
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
@@ -253,8 +237,8 @@ def rref_int(m: list[list[int]], cols: int) -> tuple[list[list[int]], tuple[int,
 
 
 def nullspace_int(m: list[list[int]], cols: int) -> tuple[int, list[list[int]]]:
-    """(d, vectors): d > 0 times the kernel basis of ``MatrixQ.nullspace``,
-    in integers; the rows of m are overwritten."""
+    """(d, vectors): the right kernel of m, one vector per free column,
+    d > 0 there, all in integers; the rows of m are overwritten."""
     rows, pivots = rref_int(m, cols)
     den = lcm(*(row[c] for row, c in zip(rows, pivots)))
     basis = []
@@ -343,79 +327,82 @@ def scaled_invariant_factors(factors: Sequence[Sequence[Fraction]],
 # Frobenius (rational canonical) form
 # ---------------------------------------------------------------------------
 
-def _krylov(m: MatrixQ, v: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """v, mv, ..., m^n v for the n x n matrix m."""
-    krylov = [tuple(v)]
-    for _ in range(m.rows):
-        krylov.append(m.apply(krylov[-1]))
+def _krylov(a: list[list[int]], v: list[int]) -> list[list[int]]:
+    """v, av, ..., a^n v for the n x n integer matrix a."""
+    krylov = [v]
+    for _ in a:
+        krylov.append([sum(map(mul, row, krylov[-1])) for row in a])
     return krylov
 
 
-def _vector_annihilator(m: MatrixQ, v: Sequence[Fraction]):
-    """Monic minimal polynomial of v under m, with the Krylov chain.
+def _krylov_annihilator(rows: list[list[int]], den: int) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of v under m = a/den, from the rows a^j v.
 
-    One ``rref`` of the Krylov matrix with columns v, mv, ..., m^n v: once
-    m^d v depends on its predecessors so do all later powers, so the pivots
-    are the first d columns, and column d expresses m^d v in the chain.
+    One ``rref_int`` of the matrix with columns a^j v: the pivots are the
+    first d columns, and pivot row k (p_k at column k, a_k at column d)
+    gives a^d v = sum (a_k/p_k) a^k v.  As a^j v = den^j m^j v,
+    coefficient k of the annihilator is -a_k / (p_k den^(d-k)).
     """
-    krylov = _krylov(m, v)
-    red, pivots = MatrixQ.from_columns(krylov).rref()
+    red, pivots = rref_int(list(zip(*rows)), len(rows))
     d = len(pivots)
-    return tuple(-red.data[j][d] for j in range(d)) + (ONE,), krylov[:d]
+    return tuple(Fraction(-row[d], row[k] * den ** (d - k))
+                 for row, k in zip(red, pivots)) + (ONE,)
 
 
-def _maximal_vector(m: MatrixQ):
-    """Annihilator and Krylov chain of a vector whose annihilator is the
-    minimal polynomial of m.
+def _maximal_vector(a: list[list[int]], den: int):
+    """Annihilator and integer Krylov chain of a vector whose annihilator
+    is the minimal polynomial of m = a/den.
 
     Greedy combination over the standard basis, starting from v = e_0.
-    Every degree is a Krylov rank: deg ann(v) is the rank of the rows m^j v,
-    and deg lcm(ann v, ann e) that of the rows (m^j v | m^j e), j = 0..n,
-    since the polynomials killing both vectors form the ideal of the lcm.
+    Every degree is a Krylov rank, the same for a as for m: deg ann(v) is
+    the rank of the rows a^j v, and deg lcm(ann v, ann e) that of the rows
+    (a^j v | a^j e), j = 0..n, since the polynomials killing both vectors
+    form the ideal of the lcm.
     e_i is skipped when it does not raise that degree.  Otherwise
-    v + c*e, whose rows m^j v + c*m^j e come from those already computed,
+    v + c*e, whose rows a^j v + c*a^j e come from those already computed,
     replaces v at the first c >= 1 that reaches it: the degree drops below
     the lcm only on finitely many c (at most one per maximal divisor), and
     c = 0 never raises it.  A cyclic e_0 costs one Krylov run.
     """
-    n = m.rows
-    rows = _krylov(m, tuple(ONE if j == 0 else ZERO for j in range(n)))
-    deg = mat_rank(MatrixQ(rows))
+    n = len(a)
+    rows = _krylov(a, [int(j == 0) for j in range(n)])
+    deg = len(rref_int(list(rows), n)[1])
     for i in range(1, n):
         if deg == n:
             break
-        rows_e = _krylov(m, tuple(ONE if j == i else ZERO for j in range(n)))
-        joint = mat_rank(MatrixQ([a + b for a, b in zip(rows, rows_e)]))
+        rows_e = _krylov(a, [int(j == i) for j in range(n)])
+        joint = len(rref_int([r + e for r, e in zip(rows, rows_e)], 2 * n)[1])
         if joint == deg:
             continue
         for c in range(1, n + 3):
-            cand = [tuple(x + c * y for x, y in zip(a, b)) for a, b in zip(rows, rows_e)]
-            if mat_rank(MatrixQ(cand)) == joint:
+            cand = [[x + c * y for x, y in zip(r, e)] for r, e in zip(rows, rows_e)]
+            if len(rref_int(list(cand), n)[1]) == joint:
                 rows, deg = cand, joint
                 break
         else:
             raise AssertionError("maximal vector mixing scan failed")
-    return _vector_annihilator(m, rows[0])
+    return _krylov_annihilator(rows[:deg + 1], den), rows[:deg]
 
 
-def _invariant_complement(m: MatrixQ, chain: list[tuple[Fraction, ...]]):
-    """m-invariant complement of the cyclic subspace spanned by `chain`.
+def _invariant_complement(a: list[list[int]], chain: list[list[int]]):
+    """(den, vectors): den times a basis of an a-invariant complement of
+    the cyclic subspace spanned by `chain`, in integers.
 
-    Pick a functional f with f(m^j v) = delta(j, d-1); the largest
-    m-invariant subspace inside ker f, the kernel of the rows (m^T)^j f,
+    Pick a functional f with f(a^j v) = delta(j, d-1); the largest
+    a-invariant subspace inside ker f, the kernel of the rows (a^T)^j f,
     intersects the cyclic space trivially and has the complementary
-    dimension.
+    dimension.  Scaling the rows of a system leaves its reduced form, so
+    f and the kernel basis are those of m = a/den up to scale.  f is the
+    kernel vector of [chain | -e_(d-1)] free at its last column.
     """
-    d = len(chain)
-    rhs = [ZERO] * d
-    rhs[d - 1] = ONE
-    f = MatrixQ(chain).solve(rhs)  # rows of MatrixQ(chain) are m^j v
-    if f is None:
+    n, d = len(a), len(chain)
+    sols = nullspace_int([w + [-int(j == d - 1)] for j, w in enumerate(chain)], n + 1)[1]
+    if not sols or not sols[-1][n]:
         raise AssertionError("Krylov chain is not independent")
-    basis = MatrixQ(_krylov(m.transpose(), f)).nullspace()
-    if len(basis) != m.rows - d:
+    den, basis = nullspace_int(_krylov(list(zip(*a)), sols[-1][:n]), n)
+    if len(basis) != n - d:
         raise AssertionError("complement has the wrong dimension")
-    return basis
+    return den, basis
 
 
 def frobenius_form(m: MatrixQ):
@@ -427,38 +414,51 @@ def frobenius_form(m: MatrixQ):
 
     The largest factor comes from one Krylov chain of a maximal vector
     (``_maximal_vector``), the next from the same procedure on an invariant
-    complement, and so on; the columns of P^-1 are the chains.  Every
-    choice made depends only on annihilator degrees, which is why
-    ``scaled_frobenius`` can derive the form of c*M from this one.
+    complement, and so on; the columns of P^-1 are the chains.  Each level
+    runs on its block cleared to a/den, whose Krylov rows are
+    a^j v = den^j m^j v; ``Fraction``s are built only for the chains, the
+    complement bases and the factors.  Every choice made depends only on
+    annihilator degrees, which is why ``scaled_frobenius`` can derive the
+    form of c*M from this one.
     """
     if not m.is_square():
         raise ValueError("Frobenius form of non-square matrix")
+    n = m.rows
+    den, flat = clear_denominators([x for row in m.data for x in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     factors, chains = [], []
     # rows of `basis`: the current complement in the original coordinates
     # (None for the whole space)
-    mat, basis = m, None
-    while mat.rows:
-        ann, chain = _maximal_vector(mat)
+    basis = None
+    while a:
+        ann, chain = _maximal_vector(a, den)
         factors.append(ann)
-        chains.append(MatrixQ(chain) if basis is None else MatrixQ(chain) @ basis)
-        if len(chain) == mat.rows:
+        vecs = MatrixQ([[Fraction(x, den ** j) for x in w] for j, w in enumerate(chain)])
+        chains.append(vecs if basis is None else vecs @ basis)
+        if len(chain) == len(a):
             break
-        comp = _invariant_complement(mat, chain)
+        comp_den, comp = _invariant_complement(a, chain)
         k = len(comp)
-        # one rref of [comp | images] gives every image's coordinates over
-        # comp, and a pivot past column k an image outside its span
-        red, pivots = MatrixQ.from_columns(comp + [mat.apply(w) for w in comp]).rref()
+        # one rref of [comp | a comp] gives every image's coordinates over
+        # comp, den times those of m, and a pivot past column k an image
+        # outside its span
+        images = [[sum(map(mul, row, w)) for row in a] for w in comp]
+        red, pivots = rref_int(list(zip(*comp, *images)), 2 * k)
         if pivots != tuple(range(k)):
             raise AssertionError("complement is not invariant")
-        mat = MatrixQ([row[k:] for row in red.data[:k]])
-        basis = MatrixQ(comp) if basis is None else MatrixQ(comp) @ basis
+        # block row r is red[r][k:] / (p_r * den); clear it over its own lcm
+        block = [(row[k:], row[r] * den) for r, row in enumerate(red)]
+        den = lcm(*(q // gcd(q, *row) for row, q in block))
+        a = [[x * den // q for x in row] for row, q in block]
+        vecs = MatrixQ([[Fraction(x, comp_den) for x in w] for w in comp])
+        basis = vecs if basis is None else vecs @ basis
 
     factors.reverse()
     chains.reverse()
     for small, large in zip(factors, factors[1:]):
         if not poly_divides(small, large):
             raise AssertionError("invariant factor chain broken")
-    p = MatrixQ.from_columns([vec for chain in chains for vec in chain.data]).inverse()
+    p = MatrixQ([vec for chain in chains for vec in chain.data], n).transpose().inverse()
     return factors, p
 
 

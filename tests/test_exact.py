@@ -8,13 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from liemd import exact
 from liemd.exact import (
     MatrixQ,
     UnitPoint,
+    clear_denominators,
     format_rational,
     format_vector,
     frobenius_form,
     mat_rank,
+    nullspace_int,
     parse_rational,
     pfaffian4,
     poly_divides,
@@ -199,26 +202,16 @@ def test_rref_matches_textbook_oracle():
         assert mat_rank(m) == len(pivots)
 
 
-def test_nullspace_solve_and_inverse_hold_exactly():
-    rng = random.Random(61)
+def test_nullspace_int_and_inverse_hold_exactly():
+    # no solve check: MatrixQ.solve is deleted, and the one system the
+    # Frobenius form solves is read off a nullspace_int kernel vector
     for m in _kernel_cases():
-        basis = m.nullspace()
+        den, basis = nullspace_int([clear_denominators(row)[1] for row in m.data], m.cols)
         assert len(basis) == m.cols - len(oracle_rref(m)[1])
         for v in basis:
-            assert solve_is_zero_vector(m, v)
+            assert solve_is_zero_vector(m, [F(x, den) for x in v])
         if basis:
             assert len(oracle_rref(basis)[1]) == len(basis)
-        x = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m.cols)]
-        rhs = m.apply(x)
-        assert m.apply(m.solve(rhs)) == rhs
-        for k in range(m.rows):
-            e = [F(int(i == k)) for i in range(m.rows)]
-            solution = m.solve(e)
-            augmented = [list(row) + [b] for row, b in zip(m.data, e)]
-            consistent = m.cols not in oracle_rref(augmented)[1]
-            assert (solution is not None) == consistent
-            if consistent:
-                assert m.apply(solution) == tuple(e)
         if m.is_square():
             if len(oracle_rref(m)[1]) == m.rows:
                 assert m.inverse() @ m == identity(m.rows)
@@ -236,20 +229,29 @@ def test_nullspace_solve_and_inverse_hold_exactly():
     # the repeated eigenspace
     (MatrixQ([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), (1, 1, 1), (6, -5, 1)),
     (MatrixQ([[2, 0, 0], [0, 2, 0], [0, 0, 3]]), (F(1, 2), -1, 0), (-2, 1)),
+    # denominators: m = a/6, so coefficient k is divided by 6^(d-k); the
+    # annihilator (t - 1/2)(t - 1/3)(t + 2/3) is t^3 - t^2/6 - 7t/18 + 1/9
+    (MatrixQ([[F(1, 2), 1, 0], [0, F(1, 3), F(-1, 2)], [0, 0, F(-2, 3)]]), (0, 0, 1),
+     (F(1, 9), F(-7, 18), F(-1, 6), 1)),
 ])
 def test_vector_annihilator_is_the_krylov_dependency(m, v, expected):
-    from liemd.exact import _vector_annihilator
+    from liemd.exact import _krylov, _krylov_annihilator
     m = companion((3, -2, 0, 0, 1)) if m is None else m
     v = tuple(F(x) for x in v)
-    ann, chain = _vector_annihilator(m, v)
+    den, flat = clear_denominators([x for row in m.data for x in row])
+    a = [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+    w = clear_denominators(v)[1]
+    rows = _krylov(a, w)
+    ann = _krylov_annihilator(rows, den)
     assert ann == tuple(F(c) for c in expected)
     assert ann[-1] == 1
     assert all(x == 0 for x in poly_eval_matrix(ann, m).apply(v))
-    powers = [v]
+    powers = [tuple(F(x) for x in w)]
     for _ in range(m.rows):
         powers.append(m.apply(powers[-1]))
     assert len(ann) - 1 == len(oracle_rref(MatrixQ.from_columns(powers))[1])
-    assert chain == powers[:len(ann) - 1]
+    # the integer rows are a^j w = den^j m^j w
+    assert rows == [[x * den ** j for x in p] for j, p in enumerate(powers)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +383,9 @@ def _frobenius_golden_cases(catalog_algebras):
                     yield f"{label} basis {b} ad {i}", m
 
 
-def _frobenius_golden_text(catalog_algebras) -> str:
+def _frobenius_golden_text(cases) -> str:
     lines = []
-    for label, m in _frobenius_golden_cases(catalog_algebras):
+    for label, m in cases:
         factors, p = frobenius_form(m)
         lines.append(json.dumps({"case": label,
                                  "factors": [format_vector(f) for f in factors],
@@ -391,10 +393,60 @@ def _frobenius_golden_text(catalog_algebras) -> str:
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
+FROBENIUS_GOLDEN = Path(__file__).parent / "golden" / "frobenius_forms.json"
+
+
 def test_frobenius_forms_match_golden(catalog_algebras):
     """Factors and P of every case, byte for byte as first recorded."""
-    golden = Path(__file__).parent / "golden" / "frobenius_forms.json"
-    assert _frobenius_golden_text(catalog_algebras) == golden.read_text(encoding="utf-8")
+    assert (_frobenius_golden_text(_frobenius_golden_cases(catalog_algebras))
+            == FROBENIUS_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_frobenius_forms_need_no_fraction_products_or_ranks(catalog_algebras, monkeypatch):
+    """The decomposition runs on integer rows: with ``MatrixQ.apply`` and
+    ``mat_rank`` refusing, every golden case is still reproduced."""
+    cases = list(_frobenius_golden_cases(catalog_algebras))
+
+    def untouched(*args):
+        raise AssertionError("Fraction product or rank used")
+
+    monkeypatch.setattr(MatrixQ, "apply", untouched)
+    monkeypatch.setattr(exact, "mat_rank", untouched)
+    assert _frobenius_golden_text(cases) == FROBENIUS_GOLDEN.read_text(encoding="utf-8")
+
+
+def _derogatory_4x4() -> MatrixQ:
+    # invariant factors t - 1/2 | t - 1/2 | (t - 1/2)(t - 1/3): three
+    # levels, each complement block cleared over a new denominator
+    return MatrixQ([[F(1, 2), 0, 0, 0], [0, F(1, 2), 0, 0],
+                    [0, 0, F(1, 2), F(5, 7)], [0, 0, 0, F(1, 3)]])
+
+
+def _thirty_digit_similar(m: MatrixQ) -> MatrixQ:
+    rng = random.Random(89)
+
+    def entry():
+        return F(rng.choice([-1, 1]) * rng.randint(10 ** 29, 10 ** 30 - 1),
+                 rng.randint(10 ** 29, 10 ** 30 - 1))
+
+    q = MatrixQ([[entry() for _ in range(m.rows)] for _ in range(m.rows)])
+    return q @ m @ q.inverse()
+
+
+@pytest.mark.parametrize("make, expected", [
+    (_derogatory_4x4, [(F(-1, 2), 1), (F(-1, 2), 1), (F(1, 6), F(-5, 6), 1)]),
+    (lambda: _thirty_digit_similar(_derogatory_4x4()),
+     [(F(-1, 2), 1), (F(-1, 2), 1), (F(1, 6), F(-5, 6), 1)]),
+    (lambda: MatrixQ.zero(0), []),
+], ids=["given", "30-digit similarity", "0x0"])
+def test_frobenius_transform_across_complement_levels(make, expected):
+    m = make()
+    factors, p = frobenius_form(m)
+    assert factors == expected
+    assert (p.rows, p.cols) == (m.rows, m.cols)
+    assert p @ m @ p.inverse() == frobenius_block_matrix(factors)
+    for small, large in zip(factors, factors[1:]):
+        assert poly_divides(small, large)
 
 
 def test_broken_factor_chain_raises_in_optimized_mode():
