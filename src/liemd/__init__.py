@@ -10,13 +10,12 @@ isomorphism tooling.
 
 from .exact import (
     MatrixQ,
-    Rational,
     UnitPoint,
     frobenius_form,
     mat_rank,
     pfaffian4,
 )
-from .lie_core import LieAlgebra, Subspace, transport_covector
+from .lie_core import LieAlgebra, Subspace
 from .kirillov import (
     GridSpec,
     MDVerdict,
@@ -40,7 +39,6 @@ __all__ = [
     "LieAlgebra",
     "MDVerdict",
     "MatrixQ",
-    "Rational",
     "Subspace",
     "UnitPoint",
     "b_form_at",
@@ -58,6 +56,5 @@ __all__ = [
     "pfaffian_system",
     "rank_profile",
     "separation_matrix",
-    "transport_covector",
     "validate_params",
 ]

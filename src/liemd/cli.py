@@ -6,6 +6,11 @@ JSON output is byte-deterministic for identical invocations (fixed seed,
 canonical key order, no timestamps), and wall-clock timings appear only in
 the human-readable text.
 
+``verify-catalog`` runs on the default covector grid ``GridSpec()``.
+``check`` takes its radius and sample count from ``--grid-radius`` and
+``--samples``, whose defaults the parser reads from ``GridSpec()``; the
+random samples always use its seed.
+
 Exit codes for ``check``: 0 clean analysis (any verdict), 2 malformed
 input, 3 Jacobi failure.  ``orbit-dim``, ``fingerprint``, ``iso`` and
 ``separate`` exit 2 on an algebra they cannot analyse (Jacobi failure, not
@@ -82,15 +87,6 @@ def _load_algebra(path: str) -> LieAlgebra:
 
 class SystemExit2(Exception):
     """Malformed-input failure, mapped to exit code 2."""
-
-
-def _grid_from_args(args) -> GridSpec:
-    try:
-        return GridSpec(radius=args.grid_radius,
-                        extra_random_samples=args.samples,
-                        seed=args.seed)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
 
 
 def _write_output(text: str, path: str | None):
@@ -225,7 +221,10 @@ def _adjoints_commute(g: LieAlgebra) -> bool:
 
 def cmd_check(args) -> int:
     g = _load_algebra(args.file)
-    grid = _grid_from_args(args)
+    try:
+        grid = GridSpec(radius=args.grid_radius, extra_random_samples=args.samples)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
     record = _analyze(g, grid)
     record["file"] = args.file
     if args.json:
@@ -369,7 +368,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify_catalog(args) -> int:
-    grid = _grid_from_args(args)
+    grid = GridSpec()
     started = time.monotonic()
     instances = []
     failures = []
@@ -476,17 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "coadjoint orbit dimensions, MD verdicts, catalog verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_flags(p):
-        p.add_argument("--grid-radius", type=int, default=2, metavar="N",
-                       help="integer grid radius (default 2)")
-        p.add_argument("--samples", type=int, default=200, metavar="N",
-                       help="extra random covector samples (default 200)")
-        p.add_argument("--seed", type=int, default=1, metavar="N",
-                       help="seed for the random samples (default 1)")
-
+    grid = GridSpec()
     p = sub.add_parser("check", help="validate and analyze an algebra file")
     p.add_argument("file")
-    add_grid_flags(p)
+    p.add_argument("--grid-radius", type=int, default=grid.radius, metavar="N",
+                   help="integer grid radius (default %(default)s)")
+    p.add_argument("--samples", type=int, default=grid.extra_random_samples, metavar="N",
+                   help="extra random covector samples (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
@@ -508,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_catalog_build)
 
     p = sub.add_parser("verify-catalog", help="run the full catalog verification")
-    add_grid_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_catalog)
 

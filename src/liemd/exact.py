@@ -19,7 +19,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 ZERO = Fraction(0)
@@ -125,6 +124,8 @@ class MatrixQ:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]]) -> "MatrixQ":
+        if not columns:
+            return MatrixQ.zero(0)
         n = len(columns[0])
         return MatrixQ([[columns[j][i] for j in range(len(columns))] for i in range(n)],
                        len(columns))

@@ -394,8 +394,7 @@ class LieAlgebra:
             if not s._holds(w):
                 raise ValueError("subspace is not invariant under ad_x")
             cols.append([Fraction(w[p], den * row[c]) for p in s.pivots])
-        matrix = MatrixQ.from_columns(cols) if cols else MatrixQ.zero(0, 0)
-        return AdOperator(xx, s, matrix)
+        return AdOperator(xx, s, MatrixQ.from_columns(cols))
 
     @cached_property
     def _derived_ideal_commutative(self) -> bool:
@@ -565,8 +564,3 @@ def _over(values: Sequence[int], den: int) -> Vector:
 
 def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
-
-
-def transport_covector(coords: Sequence, p: MatrixQ) -> Vector:
-    """Covector coordinates matching change_of_basis(G, p): F' = P^T F."""
-    return p.transpose().apply(_as_vector(coords, p.rows))

@@ -134,8 +134,22 @@ def test_huge_grids_fail_fast_exit2(g51_file, capsys, monkeypatch):
     assert f"grid has {2001 ** 5 + 200} points" in capsys.readouterr().err
     assert main(["check", g51_file, "--samples", str(10 ** 12)]) == 2
     assert f"grid has {5 ** 5 + 10 ** 12} points" in capsys.readouterr().err
-    assert main(["verify-catalog", "--grid-radius", "30"]) == 2
-    assert f"grid has {61 ** 5 + 200} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-catalog", "--grid-radius", "3"],
+    ["verify-catalog", "--samples", "5"],
+    ["verify-catalog", "--seed", "2"],
+    ["check", "FILE", "--seed", "2"],
+], ids="_".join)
+def test_fixed_grid_options_are_usage_errors(argv, g51_file, capsys):
+    # verify-catalog runs on GridSpec() alone, and check always uses its seed
+    argv = [g51_file if word == "FILE" else word for word in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: liemd ") and "unrecognized arguments: " in err
 
 
 def test_check_caps_the_samples_exit2(g51_file, capsys, monkeypatch):
@@ -169,7 +183,7 @@ def test_check_jacobi_failure_exit3(tmp_path, capsys):
 
 def test_check_grid_flags_shape_the_histogram(g51_file, capsys):
     assert main(["check", g51_file, "--json",
-                 "--grid-radius", "1", "--samples", "5", "--seed", "9"]) == 0
+                 "--grid-radius", "1", "--samples", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert sum(doc["md"]["histogram"].values()) == 3 ** 5 + 5
 

@@ -159,6 +159,7 @@ def test_matrices_with_no_rows_or_no_columns_keep_their_shape():
                 assert (same.rows, same.cols) == (rows, cols)
                 assert same == m and hash(same) == hash(m)
         assert MatrixQ.from_columns([()] * k) == MatrixQ.zero(0, k)
+    assert MatrixQ.from_columns([]) == MatrixQ.zero(0)
     # equality sees the width of a matrix with no rows
     assert MatrixQ.zero(0, 3) != MatrixQ.zero(0, 0)
     assert len({MatrixQ.zero(0, k) for k in range(4)}) == 4

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from liemd.catalog import build, parse_params
 from liemd.exact import MatrixQ
-from liemd.lie_core import LieAlgebra, Subspace, transport_covector
+from liemd.lie_core import LieAlgebra, Subspace
 from conftest import random_invertible, random_rational
 
 
@@ -509,11 +509,6 @@ def test_change_of_basis_transport_commutes_with_bracket():
         lhs = p_inv.apply(g.bracket(u, v))
         rhs = h.bracket(p_inv.apply(u), p_inv.apply(v))
         assert lhs == rhs
-
-
-def test_transport_covector_shape():
-    p = MatrixQ([[0, 1], [1, 0]])
-    assert transport_covector([1, 2], p) == (2, 1)
 
 
 def test_direct_sum_dims_and_series():
