@@ -13,7 +13,6 @@ from .exact import (
     UnitPoint,
     frobenius_form,
     mat_rank,
-    pfaffian4,
 )
 from .lie_core import LieAlgebra, Subspace
 from .kirillov import (
@@ -52,7 +51,6 @@ __all__ = [
     "md_check",
     "nonvanishing_maximality_check",
     "orbit_dim",
-    "pfaffian4",
     "pfaffian_system",
     "rank_profile",
     "separation_matrix",

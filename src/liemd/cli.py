@@ -18,27 +18,18 @@ solvable, wrong dimension, or outside the iso test's codim-1 case).
 ``verify-catalog`` exits 0 iff every expectation holds, where the known
 discrepancy family is expected to fail the MD test and is reported with
 oracle evidence rather than treated as a crash.
-
-``verify-catalog`` and ``separate`` analyse their algebras independently,
-so they deal them out over the usable CPUs (``os.sched_getaffinity``):
-the command process takes every k-th algebra from the first and k - 1
-forked children take the others (``_fan_out``).  There is no flag; the
-output, the error messages and the exit codes are those of a serial run,
-which is what runs on one usable CPU or where ``os.fork`` does not exist.
-The library never forks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import catalog
 from .exact import format_rational, format_vector, mat_rank, parse_vector
-from .invariants import fingerprint, iso_test_codim1, labelled_fingerprint, separation_pairs
+from .invariants import fingerprint, iso_test_codim1, separation_matrix
 from .kirillov import (
     GridSpec,
     b_form_at,
@@ -46,7 +37,7 @@ from .kirillov import (
     orbit_dim,
     rank_profile,
 )
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, _int_product
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -100,82 +91,6 @@ def _write_output(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _run_share(fn, items) -> list:
-    """(True, fn(x)) for each item in turn, ending at the first
-    (False, exception)."""
-    out = []
-    for x in items:
-        try:
-            out.append((True, fn(x)))
-        except Exception as exc:
-            out.append((False, exc))
-            break
-    return out
-
-
-def _fan_out(fn, items) -> list:
-    """``[fn(x) for x in items]``, computed over the usable CPUs.
-
-    The items are dealt in turn to k = min(usable CPUs, len(items))
-    shares.  The caller computes the first share itself; each other share
-    runs in a forked child, which sends back its pickled (ok, value) pairs
-    through a pipe and ends in ``os._exit``, so it never returns into the
-    caller, flushes the caller's buffered output or runs exit handlers.
-    Every child is reaped before this returns or raises.  The first failure
-    in input order is raised, as the serial loop would raise it; a child
-    that dies before sending its whole share raises ``RuntimeError``.  With
-    k = 1 nothing is forked.  The CLI starts no threads, so a fork copies
-    a consistent process and ``fn`` need not be picklable.
-    """
-    import pickle
-
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(cpus, len(items)) if hasattr(os, "fork") else 1
-    shares = [None] * k
-    children = {}  # share -> (pid, read end of its pipe), until reaped
-    try:
-        for share in range(1, k):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read)
-                    with open(write, "wb") as out:
-                        pickle.dump(_run_share(fn, items[share::k]), out)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children[share] = (pid, open(read, "rb"))
-        shares[0] = _run_share(fn, items[0::k])
-        for share in range(1, k):
-            pid, pipe = children[share]
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[share]
-            if status != 0:  # a child exits 0 only after writing its whole share
-                raise RuntimeError(f"worker process {pid} ended without its results "
-                                   f"(wait status {status})")
-            shares[share] = pickle.loads(payload)
-    finally:
-        if children:  # only when unwinding: stop the children left, reap them
-            import signal
-            for pid, pipe in children.values():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    results = []
-    for i in range(len(items)):
-        ok, value = shares[i % k][i // k]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
 # ---------------------------------------------------------------------------
 # per-instance analysis shared by check and verify-catalog
 # ---------------------------------------------------------------------------
@@ -209,10 +124,15 @@ def _analyze(g: LieAlgebra, grid: GridSpec) -> dict:
 
 
 def _adjoints_commute(g: LieAlgebra) -> bool:
-    """Whether all ad_x commute on G^1; exact, since ad is linear in x."""
-    basis = [g.basis_vector(i) for i in range(g.dim)]
-    return all(g.ad_commute_check(x, y)
-               for i, x in enumerate(basis) for y in basis[i + 1:])
+    """Whether all ad_x commute on G^1; exact, since ad is linear in x.
+
+    Compares the basis pairs on the integer matrices E ad_{X_i} of
+    ``g._ad_stack``, one positive multiple E for all i.
+    """
+    stack = g._ad_stack
+    ads = [[[entry[i] for entry in row] for row in stack] for i in range(g.dim)]
+    return all(_int_product(a, b) == _int_product(b, a)
+               for i, a in enumerate(ads) for b in ads[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +267,9 @@ def cmd_separate(args) -> int:
     else:
         instances = [(path, _load_algebra(path)) for path in args.targets]
     try:
-        prints = _fan_out(labelled_fingerprint, instances)
+        pairs = separation_matrix(instances)
     except ValueError as exc:
         raise SystemExit2(str(exc))
-    pairs = separation_pairs(instances, prints)
     doc = {"pairs": [p.to_dict() for p in pairs]}
     if args.json:
         _emit_json(doc)
@@ -375,18 +294,12 @@ def cmd_verify_catalog(args) -> int:
     discrepancies = []
     rejected_confirmed = True
 
-    def analyze_sample(sample):
-        fid, params = sample
+    for fid, params in catalog.default_samples():
         g = catalog.build(fid, params)
         record = _analyze(g, grid)
         record["family"] = fid
         record["params"] = params.label()
         record["ad_commute"] = "pass" if _adjoints_commute(g) else "fail"
-        ranks = [mat_rank(b_form_at(g, cov)) for cov, _ in KNOWN_DISCREPANCIES.get(fid, ())]
-        return record, ranks
-
-    for record, ranks in _fan_out(analyze_sample, catalog.default_samples()):
-        fid = record["family"]
         if record["ad_commute"] == "fail":
             failures.append(f"{fid}: commuting-adjoints check failed")
         is_rejected = fid.startswith("rejected.")
@@ -402,7 +315,8 @@ def cmd_verify_catalog(args) -> int:
             if fid in KNOWN_DISCREPANCIES:
                 witnesses = []
                 ok = verdict == "NotMD"
-                for (cov, expected_rank), rank in zip(KNOWN_DISCREPANCIES[fid], ranks):
+                for cov, expected_rank in KNOWN_DISCREPANCIES[fid]:
+                    rank = mat_rank(b_form_at(g, cov))
                     witnesses.append({"F": format_vector(cov), "rank": rank})
                     ok = ok and rank == expected_rank
                 record["discrepancy"] = {

@@ -524,16 +524,3 @@ def rational_kth_roots(q: Scalar, k: int) -> list[Fraction]:
         return [-root]
     return [root, -root] if k % 2 == 0 else [root]
 
-
-# ---------------------------------------------------------------------------
-# Pfaffian of a 4x4 skew matrix
-# ---------------------------------------------------------------------------
-
-def pfaffian4(b12, b13, b14, b23, b24, b34):
-    """Pfaffian from the strict upper triangle of a 4x4 skew matrix.
-
-    The entries are numbers, integers or ``Fraction``s; its square is the
-    determinant of the skew matrix, so a skew 4x4 is singular iff this
-    expression vanishes.
-    """
-    return b12 * b34 - b13 * b24 + b14 * b23

@@ -300,30 +300,21 @@ def _is_codim1_commutative(g: LieAlgebra) -> bool:
             and g.derived_ideal_commutative())
 
 
-def labelled_fingerprint(instance: tuple[str, LieAlgebra]) -> Fingerprint:
-    """The fingerprint of a (label, algebra) pair; a ``ValueError`` names
-    the label."""
-    label, g = instance
-    try:
-        return fingerprint(g)
-    except ValueError as exc:
-        raise ValueError(f"{label}: {exc}") from exc
-
-
 def separation_matrix(instances: Sequence[tuple[str, LieAlgebra]],
                       grid=None) -> list[PairOutcome]:
     """Deterministic pairwise separation report.
 
     Fingerprints are compared first; equal fingerprints on a pair of
     codim-1 algebras fall through to the exact scaled-similarity test.
-    Anything left is reported unresolved.  ``grid`` is not read.
+    Anything left is reported unresolved.  A ``ValueError`` from a
+    fingerprint names the label of its instance.  ``grid`` is not read.
     """
-    return separation_pairs(instances, [labelled_fingerprint(x) for x in instances])
-
-
-def separation_pairs(instances: Sequence[tuple[str, LieAlgebra]],
-                     prints: Sequence[Fingerprint]) -> list[PairOutcome]:
-    """``separation_matrix`` given the fingerprints of the instances."""
+    prints = []
+    for label, g in instances:
+        try:
+            prints.append(fingerprint(g))
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from exc
     out = []
     for i in range(len(instances)):
         for j in range(i + 1, len(instances)):

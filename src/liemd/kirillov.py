@@ -43,7 +43,6 @@ from .exact import (
     format_vector,
     mat_rank,
     parse_vector,
-    pfaffian4,
 )
 from .lie_core import LieAlgebra
 
@@ -320,12 +319,13 @@ def _monomials(d: int) -> list[tuple[int, int]]:
 
 
 def _quadric(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients of ``pfaffian4`` over six linear forms in u, read off by
-    polarization: the value at e_a, and at e_a + e_b less those at e_a, e_b."""
-    def at(*axes):
-        return pfaffian4(*(sum(row[a] for a in axes) for row in rows))
-    return tuple(at(a) if a == b else at(a, b) - at(a) - at(b)
-                 for a, b in _monomials(len(rows[0])))
+    """Coefficients of the Pfaffian b12 b34 - b13 b24 + b14 b23 of six
+    linear forms b = row.u: a product x.u y.u has x_a y_a at u_a^2 and
+    x_a y_b + x_b y_a at u_a u_b."""
+    b12, b13, b14, b23, b24, b34 = rows
+    def pf(a, b):
+        return b12[a] * b34[b] - b13[a] * b24[b] + b14[a] * b23[b]
+    return tuple(pf(a, a) if a == b else pf(a, b) + pf(b, a) for a, b in _monomials(len(b12)))
 
 
 def _value(q: Sequence[int], u: Sequence[int]) -> int:

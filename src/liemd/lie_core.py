@@ -132,7 +132,11 @@ class Subspace:
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)])
+        """Q^n, whose reduced rows are the unit vectors."""
+        s = Subspace(ambient)
+        s.int_rows = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        s.pivots = tuple(range(ambient))
+        return s
 
 
 class AdOperator:

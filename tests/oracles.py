@@ -9,8 +9,10 @@ Jacobi identity and basis changes expanded from ``g.brackets`` over
 kernels, coordinates by solving, intersections, and from them the series,
 centralizers and ad on an invariant subspace), the covector grid
 enumerated point by point as ``Fraction``s, polynomial and form values
-term by term, Pfaffians by expansion along a row, primality by trial division, and the grid points that vanish on
-G^1 by solving for their pivot coordinates.  They exist so that every
+term by term, Pfaffians by expansion along a row and of a 4x4 slice from
+its six entries, quadric coefficients by polarization of that Pfaffian,
+primality by trial division, and the grid points that vanish on G^1 by
+solving for their pivot coordinates.  They exist so that every
 certified answer is checked along a second route.  The helpers at the end
 are the exception: they are built on the library's ``MatrixQ``,
 ``frobenius_form`` and ``b_form_at``, and tests use them to state
@@ -416,6 +418,27 @@ def pfaffian(rows) -> Fraction:
         keep = [k for k in range(1, len(a)) if k != j]
         total += (-1) ** (j + 1) * a[0][j] * pfaffian([[a[r][c] for c in keep] for r in keep])
     return total
+
+
+def pfaffian4(b12, b13, b14, b23, b24, b34):
+    """Pfaffian from the strict upper triangle of a 4x4 skew matrix.
+
+    The entries are numbers, integers or ``Fraction``s; its square is the
+    determinant of the skew matrix, so a skew 4x4 is singular iff this
+    expression vanishes.
+    """
+    return b12 * b34 - b13 * b24 + b14 * b23
+
+
+def polarized_quadric(rows) -> tuple:
+    """Coefficients of ``pfaffian4`` over six linear forms in u, row p
+    holding the coefficients of the p-th entry, at u_a*u_b for a <= b in
+    ``combinations_with_replacement`` order, read off by polarization: the
+    value at e_a, and at e_a + e_b less those at e_a, e_b."""
+    def at(*axes):
+        return pfaffian4(*(sum(row[a] for a in axes) for row in rows))
+    return tuple(at(a) if a == b else at(a, b) - at(a) - at(b)
+                 for a, b in combinations_with_replacement(range(len(rows[0])), 2))
 
 
 def sub_pfaffians_at(g, f) -> list[Fraction]:

@@ -19,7 +19,6 @@ from liemd.exact import (
     mat_rank,
     nullspace_int,
     parse_rational,
-    pfaffian4,
     poly_divides,
     poly_mul,
     rational_kth_roots,
@@ -32,6 +31,7 @@ from oracles import (
     identity,
     matmul as oracle_matmul,
     minor_rank,
+    pfaffian4,
     poly_eval_matrix,
     poly_monic,
     rref as oracle_rref,
@@ -501,7 +501,7 @@ def test_scaled_frobenius_matches_direct_decomposition(catalog_algebras):
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian
+# Pfaffian (the oracle behind the polarized quadric reference)
 # ---------------------------------------------------------------------------
 
 def test_pfaffian_zero():

@@ -36,6 +36,7 @@ from oracles import (
     is_prime,
     form_value,
     minor_rank,
+    polarized_quadric,
     strata_of,
     sub_pfaffians_at,
 )
@@ -246,6 +247,18 @@ def test_quadric_reference_rejects_a_doctored_t():
         doctored = [kirillov._quadric([t[p] for p in kept]) for kept in kirillov._SLICES]
         assert quadric_mismatches(g, doctored, kd._den, random.Random(5))
         assert not quadric_mismatches(g, kd.quadrics, kd._den, random.Random(5))
+
+
+def test_product_quadrics_equal_the_polarized_reference(catalog_algebras):
+    # all five slices of every sample and of a seeded basis change of each
+    rng = random.Random(31)
+    algebras = [g for _, g in catalog_algebras]
+    algebras += [g.change_of_basis(random_invertible(rng, 5)) for g in algebras]
+    for g in algebras:
+        t = g.kirillov.t
+        for kept in kirillov._SLICES:
+            rows = [t[p] for p in kept]
+            assert kirillov._quadric(rows) == polarized_quadric(rows), (g.to_dict(), kept)
 
 
 def test_pfaffian_vanishing_forbids_rank4(catalog_samples):

@@ -305,6 +305,11 @@ def test_subspace_value_does_not_depend_on_the_spanning_set():
             inside = oracles.coordinates(s.basis(), probe) is not None
             assert s.contains(probe) == inside
             assert (Subspace(5, rows + [probe]) == s) == inside
+    for n in range(7):  # the whole space, built without elimination
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        full = Subspace.full(n)
+        assert full == Subspace(n, rows) and full.pivots == tuple(range(n))
+        assert full.basis() == oracles.span(rows, n)
 
 
 def test_structural_path_builds_no_fraction(catalog_algebras, monkeypatch):
