@@ -629,12 +629,16 @@ def test_catalog_commands_fork_nothing_on_two_cpus(monkeypatch, capsys):
     assert capsys.readouterr().out == golden("separate_default.json")
 
 
-def test_separate_names_the_first_failing_file(tmp_path, capsys):
-    good = write_algebra(tmp_path / "good.json", build("5.1"))
+@pytest.mark.parametrize("goods", [1, 2])
+def test_separate_names_the_first_failing_file(goods, tmp_path, capsys):
+    # goods valid files come first; the first failing file in input order is
+    # reported wherever it sits in the list
+    good = [write_algebra(tmp_path / f"good{i}.json", build("5.1"))
+            for i in range(goods)]
     bad = LieAlgebra.from_brackets(5, [(1, 2, {1: 1}), (1, 3, {2: 1})])
     bad1 = write_algebra(tmp_path / "bad1.json", bad)
     bad2 = write_algebra(tmp_path / "bad2.json", bad)
-    assert main(["separate", good, bad1, bad2]) == 2
+    assert main(["separate", *good, bad1, bad2]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad1}: ") and "Jacobi" in captured.err
